@@ -75,7 +75,7 @@ def _parse_file_entry(obj, line_no: int, idx: int) -> FileChange:
     if not isinstance(removed, list) or not all(isinstance(s, str) for s in removed):
         raise DataError(f"line {line_no}: files[{idx}] field 'removed_lines' must be an array of strings")
     loc_before = obj["loc_before"]
-    if not isinstance(loc_before, int) or loc_before < 0:
+    if type(loc_before) is not int or loc_before < 0:
         raise DataError(f"line {line_no}: files[{idx}] field 'loc_before' must be a non-negative integer")
     return FileChange(
         path=str(obj["path"]),
@@ -95,12 +95,13 @@ def parse_commit_line(line: str, line_no: int) -> CommitRecord:
     for key in _REQUIRED_KEYS:
         if key not in obj:
             raise DataError(f"line {line_no}: missing field '{key}'")
-    if not isinstance(obj["timestamp"], int):
+    # type() rather than isinstance(): JSON true/false load as bool, an int subclass.
+    if type(obj["timestamp"]) is not int:
         raise DataError(f"line {line_no}: field 'timestamp' must be an integer")
     if not isinstance(obj["files"], list):
         raise DataError(f"line {line_no}: field 'files' must be an array")
     label = obj.get("label")
-    if label is not None and label not in (0, 1):
+    if label is not None and (type(label) is bool or label not in (0, 1)):
         raise DataError(f"line {line_no}: field 'label' must be 0 or 1")
     files = tuple(_parse_file_entry(f, line_no, i) for i, f in enumerate(obj["files"]))
     return CommitRecord(

@@ -19,7 +19,7 @@ import numpy as np
 from . import nn
 from .evaluation import prf1
 from .fusion import early_fuse_backward, early_fuse_forward, early_fused_dim, early_fusion_init
-from .textprep import EncodedCommit, TextShape, Vocab, encode_commit
+from .textprep import PAD_ID, EncodedCommit, TextShape, Vocab, encode_commit
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,17 @@ def forward_batch(params: nn.Params, cfg: DeepConfig, msg_ids, file_ids, x_cat, 
     """Returns (probs (B, 2), z_m, z_c, cache)."""
     b, f, l_code = file_ids.shape
     z_m, cache_m = nn.textcnn_forward(params, "msg_cnn", msg_ids, embedding=params["msg_emb"])
+    # All-padding file rows share one encoding: the first of them is encoded
+    # and broadcast to the rest, whose gradients backward_batch folds back.
     flat_files = file_ids.reshape(b * f, l_code)
-    file_vecs_flat, cache_f = nn.textcnn_forward(params, "file_cnn", flat_files,
+    pad = (flat_files == PAD_ID).all(axis=1)
+    keep = ~pad
+    keep[pad.argmax()] = True  # a no-op when no row is padding
+    slot = np.cumsum(keep) - 1
+    slot[pad] = slot[pad.argmax()]
+    file_vecs_kept, cache_f = nn.textcnn_forward(params, "file_cnn", flat_files[keep],
                                                  embedding=params["code_emb"])
-    file_vecs = file_vecs_flat.reshape(b, f, -1)
+    file_vecs = file_vecs_kept[slot].reshape(b, f, -1)
     z_c, cache_a = nn.textcnn_forward(params, "agg_cnn", file_vecs)
     z = np.concatenate([z_m, z_c], axis=1)
     fused, cache_fuse = early_fuse_forward(params, strategy, z, x_cat, x_cont, cfg.gmf_beta)
@@ -131,7 +138,7 @@ def forward_batch(params: nn.Params, cfg: DeepConfig, msg_ids, file_ids, x_cat, 
     cache = {
         "msg": cache_m, "file": cache_f, "agg": cache_a, "fuse": cache_fuse,
         "clf": cache_clf, "mask": mask, "split": z_m.shape[1],
-        "file_shape": (b, f, l_code),
+        "file_rows": (keep, slot, pad),
     }
     return probs, z_m, z_c, cache
 
@@ -148,9 +155,12 @@ def backward_batch(params: nn.Params, cache, d_logits) -> nn.Params:
     d_zc = d_z[:, split:]
     d_file_vecs, agg_grads = nn.textcnn_backward(params, cache["agg"], d_zc)
     grads.update(agg_grads)
-    b, f, l_code = cache["file_shape"]
-    d_file_flat, file_grads = nn.textcnn_backward(
-        params, cache["file"], d_file_vecs.reshape(b * f, -1))
+    keep, slot, pad = cache["file_rows"]
+    d_rows = d_file_vecs.reshape(len(slot), -1)
+    d_kept = d_rows[keep]
+    if pad.any():
+        d_kept[slot[pad.argmax()]] = d_rows[pad].sum(axis=0)
+    d_file_flat, file_grads = nn.textcnn_backward(params, cache["file"], d_kept)
     grads.update(file_grads)
     grads["code_emb"] = nn.embedding_backward(
         d_file_flat, cache["file"]["ids"], params["code_emb"].shape[0])

@@ -45,15 +45,24 @@ def embedding_forward(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def embedding_backward(d_out: np.ndarray, ids: np.ndarray, vocab_size: int) -> np.ndarray:
-    grad = np.zeros((vocab_size, d_out.shape[-1]))
-    np.add.at(grad, ids.reshape(-1), d_out.reshape(-1, d_out.shape[-1]))
-    return grad
+    # Bin id * d + c accumulates in token order, as np.add.at on rows would.
+    dim = d_out.shape[-1]
+    at = (ids.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
+    return np.bincount(at, weights=d_out.reshape(-1), minlength=vocab_size * dim).reshape(vocab_size, dim)
 
 
 # ---------------------------------------------------------------------------
 # textCNN: per window size k, a filter bank (n_k, k, d_in) slides over the
 # sequence; each filter's ReLU response is max-pooled over positions and the
 # pooled features of all banks are concatenated.
+#
+# No window (im2col) buffer is built. Forward runs one GEMM over every
+# filter tap of every bank, W (sum of k*n_k, d_in) @ x^T (d_in, B*L), giving
+# each tap j's response at each position; the pre-activation of the window
+# starting at p is the sum over j of tap j's response at p + j. Max-pooling
+# keeps one window per filter, so the backward pass touches only those:
+# dW gathers the k input rows of each argmax window, and d_x scatters
+# d_pre * w[:, j] to positions arg + j with one np.bincount.
 # ---------------------------------------------------------------------------
 
 
@@ -72,13 +81,6 @@ def textcnn_output_dim(params: Params, prefix: str) -> int:
     return sum(v.shape[0] for n, v in params.items() if n.startswith(f"{prefix}.w"))
 
 
-def _window_view(x: np.ndarray, k: int) -> np.ndarray:
-    # (B, L, d) -> (B, L - k + 1, k * d)
-    view = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)  # (B, P, d, k)
-    b, p = view.shape[0], view.shape[1]
-    return np.ascontiguousarray(view.transpose(0, 1, 3, 2)).reshape(b, p, -1)
-
-
 def textcnn_forward(params: Params, prefix: str, x: np.ndarray,
                     embedding: np.ndarray | None = None):
     """x is either (B, L) int token ids (embedding required) or (B, L, d_in)
@@ -95,18 +97,25 @@ def textcnn_forward(params: Params, prefix: str, x: np.ndarray,
     if orig_len < max(windows):
         pad = np.zeros((x.shape[0], max(windows) - orig_len, x.shape[2]))
         x = np.concatenate([x, pad], axis=1)
+    batch, length, d_in = x.shape
+    banks = [(k, params[f"{prefix}.w{k}"], params[f"{prefix}.b{k}"]) for k in windows]
+    # taps[row of (bank, j, f), b * length + t] = w_k[f, j] . x[b, t]
+    taps = np.concatenate([w.transpose(1, 0, 2).reshape(-1, d_in) for _, w, _ in banks]) \
+        @ x.reshape(batch * length, d_in).T
     outs, caches = [], []
-    for k in windows:
-        w = params[f"{prefix}.w{k}"]
-        b = params[f"{prefix}.b{k}"]
-        win = _window_view(x, k)  # (B, P, k*d)
-        pre = win @ w.reshape(w.shape[0], -1).T + b  # (B, P, n_k)
-        act = relu(pre)
-        arg = act.argmax(axis=1)  # (B, n_k)
-        pooled = np.take_along_axis(act, arg[:, None, :], axis=1)[:, 0, :]
-        pre_at_max = np.take_along_axis(pre, arg[:, None, :], axis=1)[:, 0, :]
-        outs.append(pooled)
-        caches.append((k, arg, pre_at_max))
+    row = 0
+    for k, w, bias in banks:
+        n_k = w.shape[0]
+        tap = taps[row : row + k * n_k].reshape(k, n_k, batch, length)
+        row += k * n_k
+        positions = length - k + 1
+        pre = tap[0, :, :, :positions] + bias[:, None, None]  # (n_k, B, P)
+        for j in range(1, k):
+            pre += tap[j, :, :, j : j + positions]
+        arg = pre.argmax(axis=2)
+        pre_at_max = np.take_along_axis(pre, arg[:, :, None], axis=2)[:, :, 0].T  # (B, n_k)
+        outs.append(relu(pre_at_max))
+        caches.append((k, arg.T, pre_at_max))
     z = np.concatenate(outs, axis=1)
     cache = {"x": x, "ids": ids, "orig_len": orig_len, "banks": caches, "prefix": prefix}
     return z, cache
@@ -120,26 +129,23 @@ def textcnn_backward(params: Params, cache, d_z: np.ndarray):
     x = cache["x"]
     prefix = cache["prefix"]
     batch, length, d_in = x.shape
-    d_x = np.zeros_like(x)
     grads = {}
     col = 0
-    rows = np.arange(batch)[:, None]
+    rows = np.arange(batch)[:, None, None]
+    channels = np.arange(d_in)
+    scatter_at, scatter_val = [], []
     for k, arg, pre_at_max in cache["banks"]:
         w = params[f"{prefix}.w{k}"]
         n_k = w.shape[0]
-        d_pool = d_z[:, col : col + n_k]
+        d_pre = d_z[:, col : col + n_k] * (pre_at_max > 0)  # (B, n_k)
         col += n_k
-        d_pre = d_pool * (pre_at_max > 0)  # (B, n_k)
-        win = _window_view(x, k)  # (B, P, k*d)
-        sel = np.take_along_axis(win, arg[:, :, None], axis=1)  # (B, n_k, k*d)
-        grads[f"{prefix}.w{k}"] = np.einsum("bf,bfj->fj", d_pre, sel).reshape(w.shape)
+        at = arg[:, :, None] + np.arange(k)  # (B, n_k, k) positions of the argmax windows
+        grads[f"{prefix}.w{k}"] = np.einsum("bf,bfjc->fjc", d_pre, x[rows, at])
         grads[f"{prefix}.b{k}"] = d_pre.sum(axis=0)
-        contrib = d_pre[:, :, None] * w.reshape(n_k, -1)[None, :, :]  # (B, n_k, k*d)
-        d_win = np.zeros_like(win)
-        np.add.at(d_win, (rows, arg), contrib)
-        d_win = d_win.reshape(batch, win.shape[1], k, d_in)
-        for j in range(k):
-            d_x[:, j : j + win.shape[1], :] += d_win[:, :, j, :]
+        scatter_at.append((((rows * length + at) * d_in)[..., None] + channels).reshape(-1))
+        scatter_val.append((d_pre[:, :, None, None] * w).reshape(-1))
+    d_x = np.bincount(np.concatenate(scatter_at), weights=np.concatenate(scatter_val),
+                      minlength=x.size).reshape(x.shape)
     return d_x[:, : cache["orig_len"], :], grads
 
 
@@ -238,7 +244,6 @@ def dropout(x: np.ndarray, rate: float, training: bool, rng=None):
 # Adam
 # ---------------------------------------------------------------------------
 
-
 @dataclass
 class AdamState:
     lr: float = 1e-3
@@ -251,7 +256,10 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: Params, grads: Params) -> None:
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place:
+    m += (1 - beta1) * (g - m); v += (1 - beta2) * (g * g - v);
+    p -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps),
+    in that operation order, through two work arrays per parameter."""
     state.t += 1
     for name, p in params.items():
         g = grads.get(name)
@@ -259,15 +267,25 @@ def adam_step(state: AdamState, params: Params, grads: Params) -> None:
             continue
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for '{name}'")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient for '{name}'")
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
-        m += (1 - state.beta1) * (g - m)
-        v += (1 - state.beta2) * (g * g - v)
-        m_hat = m / (1 - state.beta1**state.t)
-        v_hat = v / (1 - state.beta2**state.t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        step, denom = np.empty_like(p), np.empty_like(p)
+        np.subtract(g, m, out=step)
+        step *= 1 - state.beta1
+        m += step
+        np.multiply(g, g, out=step)
+        step -= v
+        step *= 1 - state.beta2
+        v += step
+        np.divide(m, 1 - state.beta1**state.t, out=step)
+        np.divide(v, 1 - state.beta2**state.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step *= state.lr
+        step /= denom
+        p -= step
 
 
 # ---------------------------------------------------------------------------

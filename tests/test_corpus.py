@@ -47,6 +47,26 @@ class TestLoadStream:
         with pytest.raises(DataError, match=r"line 2.*'timestamp'"):
             load_commit_stream(path)
 
+    def test_boolean_timestamp_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(_minimal_line("c0") + "\n" + _minimal_line("c1", ts=True) + "\n")
+        with pytest.raises(DataError, match=r"line 2.*'timestamp'"):
+            load_commit_stream(path)
+
+    def test_boolean_label_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(_minimal_line("c0", label=1) + "\n" + _minimal_line("c1", label=False) + "\n")
+        with pytest.raises(DataError, match=r"line 2.*'label'"):
+            load_commit_stream(path)
+
+    def test_boolean_loc_before_rejected(self, tmp_path):
+        obj = json.loads(_minimal_line("c0"))
+        obj["files"][0]["loc_before"] = True
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(DataError, match=r"line 1.*'loc_before'"):
+            load_commit_stream(path)
+
     def test_duplicate_commit_id_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(_minimal_line("dup") + "\n" + _minimal_line("dup") + "\n")

@@ -10,6 +10,7 @@ from jitdp.deep_model import (
     MICRO_CONFIG,
     TrainingError,
     TrainLogEntry,
+    backward_batch,
     build_dataset,
     com_forward,
     forward_batch,
@@ -20,7 +21,7 @@ from jitdp.deep_model import (
     write_train_log,
 )
 from jitdp.evaluation import roc_auc
-from jitdp.nn import cross_entropy_batch
+from jitdp.nn import cross_entropy_batch, finite_diff_check
 from jitdp.textprep import MICRO_SHAPE, TextShape, build_vocab, encode_commit, render_change_document, tokenize
 
 from test_nn import scalar_loop_textcnn
@@ -76,6 +77,49 @@ class TestComForward:
         swapped[0, [1, 3]] = swapped[0, [3, 1]]
         perm, _, _, _ = forward_batch(params, cfg, msg, swapped, np.zeros((1, 1)), np.zeros((1, 13)))
         assert np.array_equal(base, perm)
+
+    @pytest.mark.parametrize("all_padding", [False, True])
+    def test_padding_file_rows_score_as_alone(self, all_padding):
+        cfg = DeepConfig(embed_dim=4, filters=3, hidden=5)
+        params = init_deep_params(np.random.default_rng(4), 9, cfg, "gmf")
+        rng = np.random.default_rng(5)
+        msg = rng.integers(1, 9, size=(4, 5))
+        files = rng.integers(0, 9, size=(4, 3, 6))
+        files[:, 1:] = 0  # all-padding rows next to real ones
+        files[2] = 0  # a commit without any file text
+        files[3, 0, 3:] = 0
+        if all_padding:
+            files[:] = 0
+        x_cat = rng.normal(size=(4, 1))
+        x_cont = rng.normal(size=(4, 13))
+        batch, _, _, _ = forward_batch(params, cfg, msg, files, x_cat, x_cont, "gmf")
+        for i in range(4):
+            sl = slice(i, i + 1)
+            alone, _, _, _ = forward_batch(params, cfg, msg[sl], files[sl], x_cat[sl],
+                                           x_cont[sl], "gmf")
+            assert np.allclose(batch[i], alone[0], rtol=0, atol=1e-12)
+
+    def test_gradients_with_padding_file_rows(self):
+        cfg = DeepConfig(embed_dim=4, filters=3, windows=(1, 2, 3), hidden=5,
+                         dropout=0.0, gmf_beta=0.6)
+        rng = np.random.default_rng(6)
+        msg = rng.integers(0, 11, size=(3, 6))
+        files = rng.integers(1, 11, size=(3, 3, 7))
+        files[0, 1:] = 0
+        files[1, 2] = 0
+        files[2] = 0
+        x_cat = rng.normal(size=(3, 1))
+        x_cont = rng.normal(size=(3, 13))
+        y = np.array([1, 0, 1])
+        params = init_deep_params(np.random.default_rng(7), 11, cfg, "gmf")
+
+        def stack_loss():
+            probs, _, _, cache = forward_batch(params, cfg, msg, files, x_cat, x_cont,
+                                               strategy="gmf", training=False)
+            loss, d_logits = cross_entropy_batch(probs, y, (1.0, 2.0))
+            return loss, backward_batch(params, cache, d_logits)
+
+        assert finite_diff_check(stack_loss, params) < 1e-4
 
     def test_matches_scalar_loop_oracle(self):
         # micro model (d=4, 2 filters) on a 1-file commit, recomputed with

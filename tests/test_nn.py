@@ -30,6 +30,42 @@ def scalar_loop_textcnn(params, prefix, x):
     return np.array(outs)
 
 
+def scalar_loop_textcnn_backward(params, prefix, x, d_z):
+    """Oracle: each filter's gradient flows through its first argmax window
+    only, and only where that window's pre-activation is positive."""
+    windows = sorted(int(k.rsplit(".w", 1)[1]) for k in params if k.startswith(f"{prefix}.w"))
+    batch, orig_len, d_in = x.shape
+    length = max(orig_len, max(windows))
+    xe = np.zeros((batch, length, d_in))
+    xe[:, :orig_len] = x
+    d_x = np.zeros_like(xe)
+    grads = {n: np.zeros_like(v) for n, v in params.items() if n.startswith(f"{prefix}.")}
+    col = 0
+    for k in windows:
+        w = params[f"{prefix}.w{k}"]
+        b = params[f"{prefix}.b{k}"]
+        for f in range(w.shape[0]):
+            for r in range(batch):
+                best, best_pos = -np.inf, 0
+                for pos in range(length - k + 1):
+                    acc = b[f]
+                    for i in range(k):
+                        for j in range(d_in):
+                            acc += w[f, i, j] * xe[r, pos + i, j]
+                    if acc > best:
+                        best, best_pos = acc, pos
+                if best <= 0:
+                    continue
+                g = d_z[r, col + f]
+                grads[f"{prefix}.b{k}"][f] += g
+                for i in range(k):
+                    for j in range(d_in):
+                        grads[f"{prefix}.w{k}"][f, i, j] += g * xe[r, best_pos + i, j]
+                        d_x[r, best_pos + i, j] += g * w[f, i, j]
+        col += w.shape[0]
+    return d_x[:, :orig_len], grads
+
+
 class TestTextCnnForward:
     def test_all_padding_zero_model_gives_zeros(self):
         params = {"t.w1": np.zeros((2, 1, 4)), "t.b1": np.zeros(2),
@@ -99,6 +135,49 @@ class TestTextCnnForward:
             return loss, grads
 
         assert nn.finite_diff_check(loss_and_grads, params) < 1e-4
+
+
+class TestTextCnnBackward:
+    @pytest.mark.parametrize("case", ["ids", "vectors", "shorter_than_window"])
+    def test_matches_scalar_loop_oracle(self, case):
+        rng = np.random.default_rng(21)
+        d_in = 6 if case == "vectors" else 4
+        params = nn.textcnn_init(rng, "t", d_in, (1, 2, 3), 7)
+        for k in (1, 2, 3):
+            params[f"t.b{k}"] = rng.normal(scale=0.3, size=params[f"t.b{k}"].shape)
+        emb = ids = None
+        if case == "ids":
+            emb = rng.normal(size=(10, d_in))
+            ids = rng.integers(0, 10, size=(3, 9))
+            ids[1, 4:] = 0  # padding tail
+            x = emb[ids]
+            z, cache = nn.textcnn_forward(params, "t", ids, embedding=emb)
+        else:
+            # (commits, files, file vector) as the aggregation CNN sees it
+            x = rng.normal(size=(3, 4, d_in) if case == "vectors" else (2, 2, d_in))
+            z, cache = nn.textcnn_forward(params, "t", x)
+        d_z = rng.normal(size=z.shape)
+        d_x, grads = nn.textcnn_backward(params, cache, d_z)
+        d_x_ref, grads_ref = scalar_loop_textcnn_backward(params, "t", x, d_z)
+        assert d_x.shape == x.shape
+        assert np.allclose(d_x, d_x_ref, atol=1e-12)
+        assert sorted(grads) == sorted(grads_ref)
+        for name in grads:
+            assert np.allclose(grads[name], grads_ref[name], atol=1e-12), name
+        if case == "ids":
+            emb_ref = np.zeros_like(emb)
+            for r in range(ids.shape[0]):
+                for t in range(ids.shape[1]):
+                    emb_ref[ids[r, t]] += d_x_ref[r, t]
+            assert np.allclose(nn.embedding_backward(d_x, ids, 10), emb_ref, atol=1e-12)
+
+    def test_embedding_backward_matches_add_at_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        ids = rng.integers(0, 5, size=(4, 30))
+        d_out = rng.normal(size=(4, 30, 3))
+        ref = np.zeros((5, 3))
+        np.add.at(ref, ids.reshape(-1), d_out.reshape(-1, 3))
+        assert np.array_equal(nn.embedding_backward(d_out, ids, 5), ref)
 
 
 class TestClassifier:
@@ -199,6 +278,29 @@ class TestAdam:
             nn.adam_step(state, theta, {"w": 2 * theta["w"]})
             values.append(abs(theta["w"][0]))
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_five_steps_equal_textbook_update_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        # a table, a filter bank, a bias, and one parameter without a gradient
+        shapes = {"emb": (2053, 8), "w": (3, 2, 4), "b": (7,), "frozen": (2,)}
+        params = {n: rng.normal(size=s) for n, s in shapes.items()}
+        ref = {n: p.copy() for n, p in params.items()}
+        state = nn.AdamState(lr=0.01)
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        b1, b2, eps = state.beta1, state.beta2, state.eps
+        for t in range(1, 6):
+            grads = {n: rng.normal(size=s) for n, s in shapes.items() if n != "frozen"}
+            nn.adam_step(state, params, grads)
+            for n, g in grads.items():
+                m[n] += (1 - b1) * (g - m[n])
+                v[n] += (1 - b2) * (g * g - v[n])
+                m_hat = m[n] / (1 - b1**t)
+                v_hat = v[n] / (1 - b2**t)
+                ref[n] -= state.lr * m_hat / (np.sqrt(v_hat) + eps)
+        for n in shapes:
+            assert np.array_equal(params[n], ref[n]), n
+        assert "frozen" not in state.m
 
     def test_shape_mismatch_rejected(self):
         state = nn.AdamState()
