@@ -17,10 +17,12 @@ import numpy as np
 from .corpus import DataError, SyntheticSpec, load_commit_stream, save_commit_stream, synthesize_corpus
 from .deep_model import TrainingError
 from .pipeline import (
+    PREDICTIONS_HEADER,
     PipelineError,
     RunConfig,
     config_from_dict,
     explain_commit,
+    format_prediction,
     load_bundle,
     predict_commits,
     read_feature_table,
@@ -135,12 +137,9 @@ def _predict(args) -> int:
         write_predictions(args.out, rows)
         print(f"{len(rows)} predictions written to {args.out}")
     else:
-        from .pipeline import PREDICTIONS_HEADER
-
         print(PREDICTIONS_HEADER)
-        for cid, fused, cls, sim_s, com_s, early_s in rows:
-            early_txt = "" if early_s is None else repr(early_s)
-            print(f"{cid},{fused!r},{cls},{sim_s!r},{com_s!r},{early_txt}")
+        for row in rows:
+            print(format_prediction(row))
     return 0
 
 

@@ -52,7 +52,6 @@ class SplitAssignment:
     train_ids: frozenset[str]
     validation_ids: frozenset[str]
     test_ids: frozenset[str]
-    ordering: str = "chronological"
 
     def all_ids(self) -> frozenset[str]:
         return self.train_ids | self.validation_ids | self.test_ids
@@ -101,7 +100,7 @@ def parse_commit_line(line: str, line_no: int) -> CommitRecord:
     if not isinstance(obj["files"], list):
         raise DataError(f"line {line_no}: field 'files' must be an array")
     label = obj.get("label")
-    if label is not None and (type(label) is bool or label not in (0, 1)):
+    if label is not None and (type(label) is not int or label not in (0, 1)):
         raise DataError(f"line {line_no}: field 'label' must be 0 or 1")
     files = tuple(_parse_file_entry(f, line_no, i) for i, f in enumerate(obj["files"]))
     return CommitRecord(
@@ -195,7 +194,6 @@ def chronological_split(corpus, ratios=(0.75, 0.05, 0.20)) -> SplitAssignment:
         train_ids=frozenset(ids[:n_train]),
         validation_ids=frozenset(ids[n_train : n_train + n_val]),
         test_ids=frozenset(ids[n_train + n_val :]),
-        ordering="chronological",
     )
 
 

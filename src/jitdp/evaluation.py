@@ -65,18 +65,19 @@ class CorrectionReport:
     net_correction_ratio: float
 
 
+def _tie_groups(sorted_vals: np.ndarray):
+    """(starts, ends) of the runs of equal values, ends inclusive."""
+    ends = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1])
+    return np.concatenate([[0], ends + 1]), np.append(ends, len(sorted_vals) - 1)
+
+
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1, ties receiving the mean of their rank range."""
     order = np.argsort(values, kind="mergesort")
     ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    if len(values):
+        starts, ends = _tie_groups(values[order])
+        ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -109,26 +110,12 @@ def pr_auc(scores, labels) -> float:
     if n_pos == 0:
         raise ValueError("pr_auc needs at least one positive")
     order = np.argsort(-scores, kind="mergesort")
-    s_sorted = scores[order]
-    y_sorted = labels[order]
-    ap = 0.0
-    tp = 0
-    seen = 0
-    prev_recall = 0.0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j + 1 < n and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        tp += int(y_sorted[i : j + 1].sum())
-        seen += j - i + 1
-        recall = tp / n_pos
-        precision = tp / seen
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return ap
+    _, ends = _tie_groups(scores[order])
+    tp = np.cumsum(labels[order])[ends]
+    recall = tp / n_pos
+    precision = tp / (ends + 1)
+    steps = (recall - np.concatenate([[0.0], recall[:-1]])) * precision
+    return float(np.cumsum(steps)[-1])  # sequential sum, in score order
 
 
 def prf1(scores, labels, threshold: float = 0.5) -> MetricReport:

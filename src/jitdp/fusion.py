@@ -238,30 +238,29 @@ class LateFusionRule:
 
 def late_fuse(rule: LateFusionRule, scores) -> float:
     """Fuse one commit's per-model defect probabilities."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise ValueError("late fusion needs at least one model score")
-    if rule.rule in ("simple", "none"):
-        if rule.rule == "none" and scores.size != 1:
-            raise ValueError("late rule 'none' expects a single model score")
-        return float(scores.mean())
-    if rule.rule == "weighted":
-        w = np.asarray(rule.weights, dtype=np.float64)
-        if w.shape != scores.shape:
-            raise ValueError("weight count must match model count")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        return float((scores * w).sum() / w.sum())
-    if rule.rule == "geometric":
-        clamped = np.clip(scores, 1e-12, 1.0)
-        return float(np.exp(np.mean(np.log(clamped))))
-    raise ValueError(f"unknown late-fusion rule '{rule.rule}'")
+    return float(late_fuse_many(rule, np.asarray(scores, dtype=np.float64).reshape(-1, 1))[0])
 
 
 def late_fuse_many(rule: LateFusionRule, score_matrix) -> np.ndarray:
-    """score_matrix (n_models, n_commits) -> fused (n_commits,)."""
+    """score_matrix (n_models, n_commits) -> fused (n_commits,); each rule
+    reduces over the model axis, in model order."""
     m = np.asarray(score_matrix, dtype=np.float64)
-    return np.array([late_fuse(rule, m[:, j]) for j in range(m.shape[1])])
+    if m.shape[0] == 0:
+        raise ValueError("late fusion needs at least one model score")
+    if rule.rule in ("simple", "none"):
+        if rule.rule == "none" and m.shape[0] != 1:
+            raise ValueError("late rule 'none' expects a single model score")
+        return m.mean(axis=0)
+    if rule.rule == "weighted":
+        w = np.asarray(rule.weights, dtype=np.float64)
+        if w.shape != m.shape[:1]:
+            raise ValueError("weight count must match model count")
+        if np.any(w <= 0):
+            raise ValueError("weights must be positive")
+        return (m * w[:, None]).sum(axis=0) / w.sum()
+    if rule.rule == "geometric":
+        return np.exp(np.mean(np.log(np.clip(m, 1e-12, 1.0)), axis=0))
+    raise ValueError(f"unknown late-fusion rule '{rule.rule}'")
 
 
 def _weight_grid(n_models: int, step: int = 10):

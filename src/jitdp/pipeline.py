@@ -502,12 +502,18 @@ def predict_commits(bundle: LoadedBundle, corpus) -> list:
 PREDICTIONS_HEADER = "commit_id,fused_score,class,sim_score,com_score,early_score"
 
 
+def format_prediction(row) -> str:
+    """One predictions CSV line, without its newline."""
+    cid, fused, cls, sim_s, com_s, early_s = row
+    early_txt = "" if early_s is None else repr(early_s)
+    return f"{cid},{fused!r},{cls},{sim_s!r},{com_s!r},{early_txt}"
+
+
 def write_predictions(path, rows) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(PREDICTIONS_HEADER + "\n")
-        for cid, fused, cls, sim_s, com_s, early_s in rows:
-            early_txt = "" if early_s is None else repr(early_s)
-            handle.write(f"{cid},{fused!r},{cls},{sim_s!r},{com_s!r},{early_txt}\n")
+        for row in rows:
+            handle.write(format_prediction(row) + "\n")
 
 
 def explain_commit(bundle: LoadedBundle, corpus, commit_id: str,

@@ -150,6 +150,18 @@ class TestPredictCommand:
             assert float(parts[1]) == pytest.approx(row[1], abs=1e-15)
             assert int(parts[2]) == row[2]
 
+    def test_stdout_matches_written_file(self, run_dir, tmp_path, corpus_path, capsys):
+        corpus = load_commit_stream(corpus_path)[:10]
+        path = tmp_path / "ten.jsonl"
+        save_commit_stream(path, corpus)
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--bundle", str(run_dir / "bundle.json"),
+                     "--corpus", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--bundle", str(run_dir / "bundle.json"),
+                     "--corpus", str(path)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_tampered_artifact_is_provenance_error(self, run_dir, tmp_path, corpus_path):
         import shutil
 

@@ -59,6 +59,13 @@ class TestLoadStream:
         with pytest.raises(DataError, match=r"line 2.*'label'"):
             load_commit_stream(path)
 
+    @pytest.mark.parametrize("label", [1.0, 0.0])
+    def test_float_label_rejected(self, tmp_path, label):
+        path = tmp_path / "c.jsonl"
+        path.write_text(_minimal_line("c0", label=1) + "\n" + _minimal_line("c1", label=label) + "\n")
+        with pytest.raises(DataError, match=r"line 2.*'label'"):
+            load_commit_stream(path)
+
     def test_boolean_loc_before_rejected(self, tmp_path):
         obj = json.loads(_minimal_line("c0"))
         obj["files"][0]["loc_before"] = True

@@ -7,8 +7,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitdp.evaluation import (
+    _average_ranks,
     cliffs_delta,
     correction_analysis,
     group_metric_samples,
@@ -349,3 +352,78 @@ class TestCorrection:
         assert rep.different == 1945
         assert rep.net_correction == 234
         assert round(100 * rep.net_correction_ratio, 1) == 12.0
+
+
+def loop_average_ranks(values):
+    """Oracle: the scalar tie-group loop that _average_ranks replaces."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values), dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def loop_pr_auc(scores, labels):
+    """Oracle: the scalar tie-group loop that pr_auc replaces."""
+    n_pos = int(labels.sum())
+    order = np.argsort(-scores, kind="mergesort")
+    s_sorted = scores[order]
+    y_sorted = labels[order]
+    ap, tp, seen, prev_recall, i, n = 0.0, 0, 0, 0.0, 0, len(scores)
+    while i < n:
+        j = i
+        while j + 1 < n and s_sorted[j + 1] == s_sorted[i]:
+            j += 1
+        tp += int(y_sorted[i : j + 1].sum())
+        seen += j - i + 1
+        recall = tp / n_pos
+        precision = tp / seen
+        ap += (recall - prev_recall) * precision
+        prev_recall = recall
+        i = j + 1
+    return ap
+
+
+_tied_scores = st.integers(1, 12).flatmap(
+    lambda levels: st.lists(st.integers(0, levels).map(lambda v: v / levels), min_size=1,
+                            max_size=200))
+
+
+class TestVectorizedRankingAgainstLoops:
+    """The array forms of pr_auc and _average_ranks match their loops bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores=st.one_of(_tied_scores, st.lists(st.floats(0.0, 1.0), min_size=1, max_size=200)),
+           seed=st.integers(0, 1000))
+    def test_pr_auc_and_ranks_bitwise(self, scores, seed):
+        scores = np.array(scores)
+        labels = (np.random.default_rng(seed).random(len(scores)) < 0.3).astype(np.int64)
+        labels[seed % len(labels)] = 1
+        assert pr_auc(scores, labels) == loop_pr_auc(scores, labels)
+        assert np.array_equal(_average_ranks(scores), loop_average_ranks(scores))
+
+    def test_nan_scores_form_their_own_groups(self):
+        scores = np.array([0.5, np.nan, 0.5, np.nan, 0.2])
+        labels = np.array([1, 0, 0, 1, 1])
+        assert pr_auc(scores, labels) == loop_pr_auc(scores, labels)
+        assert np.array_equal(_average_ranks(scores), loop_average_ranks(scores))
+
+    def test_empty_ranks(self):
+        assert _average_ranks(np.array([])).shape == (0,)
+
+    @settings(max_examples=50, deadline=None)
+    @given(scores=_tied_scores, seed=st.integers(0, 1000))
+    def test_invariant_under_permutation(self, scores, seed):
+        rng = np.random.default_rng(seed)
+        scores = np.array(scores)
+        labels = (rng.random(len(scores)) < 0.4).astype(np.int64)
+        labels[0] = 1
+        perm = rng.permutation(len(scores))
+        assert pr_auc(scores[perm], labels[perm]) == pr_auc(scores, labels)
+        assert np.array_equal(_average_ranks(scores[perm]), _average_ranks(scores)[perm])

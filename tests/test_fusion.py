@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitdp.deep_model import DeepConfig, init_deep_params, train_deep, score_dataset
 from jitdp.fusion import (
@@ -210,6 +212,59 @@ class TestLateFusion:
         base = late_fuse(LateFusionRule("weighted", weights), scores)
         perm = late_fuse(LateFusionRule("weighted", (3.0, 1.0, 2.0)), scores[[2, 0, 1]])
         assert perm == pytest.approx(base, abs=1e-15)
+
+
+_score_matrices = st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k), min_size=0, max_size=30),
+    st.lists(st.floats(0.05, 5.0), min_size=k, max_size=k)))
+
+
+def _rules(k, weights):
+    rules = [LateFusionRule("simple"), LateFusionRule("geometric"),
+             LateFusionRule("weighted", tuple(weights))]
+    return rules + [LateFusionRule("none")] if k == 1 else rules
+
+
+class TestLateFuseMany:
+    """The array form of every rule against per-commit late_fuse."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_score_matrices, seed=st.integers(0, 1000))
+    def test_matches_per_column_and_permutation_invariant(self, case, seed):
+        columns, weights = case
+        k = len(weights)
+        m = np.array(columns, dtype=np.float64).reshape(-1, k).T
+        perm = np.random.default_rng(seed).permutation(m.shape[1])
+        for rule in _rules(k, weights):
+            fused = late_fuse_many(rule, m)
+            per_column = np.array([late_fuse(rule, m[:, j]) for j in range(m.shape[1])])
+            assert fused.shape == (m.shape[1],)
+            assert np.array_equal(fused, per_column)
+            assert np.array_equal(late_fuse_many(rule, m[:, perm]), fused[perm])
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_reference_formulas(self, k):
+        m = np.random.default_rng(k).random((k, 50))
+        w = np.array([0.2, 0.5, 0.3])[:k]
+        for j in range(50):
+            s = m[:, j]
+            assert late_fuse_many(LateFusionRule("simple"), m)[j] == float(s.mean())
+            assert late_fuse_many(LateFusionRule("weighted", tuple(w)), m)[j] == \
+                float((s * w).sum() / w.sum())
+            assert late_fuse_many(LateFusionRule("geometric"), m)[j] == \
+                float(np.exp(np.mean(np.log(np.clip(s, 1e-12, 1.0)))))
+
+    @pytest.mark.parametrize("rule, rows, match", [
+        (LateFusionRule("weighted", (0.5, 0.5)), 3, "weight count"),
+        (LateFusionRule("weighted", (1.0, 0.0)), 2, "positive"),
+        (LateFusionRule("weighted", (1.0, -1.0)), 2, "positive"),
+        (LateFusionRule("none"), 2, "single"),
+        (LateFusionRule("median"), 2, "unknown"),
+        (LateFusionRule("simple"), 0, "at least one"),
+    ])
+    def test_errors_still_raise(self, rule, rows, match):
+        with pytest.raises(ValueError, match=match):
+            late_fuse_many(rule, np.full((rows, 4), 0.5))
 
 
 class TestSweep:

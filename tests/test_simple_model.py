@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitdp.evaluation import roc_auc
 from jitdp.simple_model import (
@@ -117,6 +119,86 @@ class TestForestPredict:
         model = _hand_model([0.5])
         with pytest.raises(ValueError):
             forest_predict(model, np.zeros(3))
+
+
+def _scalar_walk(tree, row):
+    """Oracle: follow one tree's node tuples from the root to a leaf."""
+    node = tree[0]
+    while node[0] != -1:
+        node = tree[node[2]] if row[node[0]] <= node[1] else tree[node[3]]
+    return node[5]
+
+
+def _scalar_predict(model, rows):
+    return np.array([np.mean([_scalar_walk(t, r) for t in model.trees]) for r in rows])
+
+
+def _thresholds(model):
+    return np.array([node[1] for tree in model.trees for node in tree if node[0] != -1])
+
+
+class TestArrayForest:
+    """forest_predict_many's level-synchronous walk against the scalar walk."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(20, 80), n_trees=st.integers(1, 12),
+           n_rows=st.integers(1, 40))
+    def test_matches_scalar_walk(self, seed, n, n_trees, n_rows):
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.normal(size=(n, 14)), 1)  # rounded: repeated values
+        y = (x[:, 4] + rng.normal(size=n) > 0).astype(int)
+        y[:2] = (0, 1)
+        model = train_forest(x, y, ForestConfig(n_trees=n_trees), seed=seed)
+        rows = rng.normal(size=(n_rows, 14))
+        thresholds = _thresholds(model)
+        if thresholds.size:  # values that sit exactly on a split go left
+            on_split = rng.random(rows.shape) < 0.5
+            rows[on_split] = rng.choice(thresholds, size=int(on_split.sum()))
+        assert np.array_equal(forest_predict_many(model, rows), _scalar_predict(model, rows))
+        assert forest_predict(model, rows[0]) == _scalar_predict(model, rows[:1])[0]
+
+    def test_value_equal_to_threshold_goes_left(self):
+        stump = ((2, 0.5, 1, 2, 0.5, 0.5), (-1, 0.0, -1, -1, 1.0, 0.0),
+                 (-1, 0.0, -1, -1, 0.0, 1.0))
+        model = ForestModel(trees=(stump,), n_features=14, seed=0)
+        rows = np.zeros((3, 14))
+        rows[:, 2] = (0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0))
+        assert np.array_equal(forest_predict_many(model, rows), [0.0, 1.0, 0.0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+           n_rows=st.integers(0, 5))
+    def test_single_leaf_forests(self, probs, n_rows):
+        model = _hand_model(probs)
+        rows = np.zeros((n_rows, 14))
+        assert np.array_equal(forest_predict_many(model, rows), _scalar_predict(model, rows))
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        x, y = _separable_1d(120, seed=11)
+        return train_forest(x, y, ForestConfig(n_trees=15), seed=4)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 513])
+    def test_block_boundaries(self, trained, n_rows):
+        rows = np.random.default_rng(n_rows).normal(size=(n_rows, 14))
+        got = forest_predict_many(trained, rows)
+        assert got.shape == (n_rows,)
+        assert np.array_equal(got, _scalar_predict(trained, rows))
+
+    def test_zero_rows_give_empty_array(self, trained):
+        assert forest_predict_many(trained, []).shape == (0,)
+        assert forest_predict_many(trained, np.zeros((0, 14))).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(5, 13), (5, 15), (5, 0), (14,)])
+    def test_wrong_column_count_rejected(self, trained, shape):
+        with pytest.raises(ValueError):
+            forest_predict_many(trained, np.zeros(shape))
+
+    def test_loaded_forest_walks_the_same(self, trained, tmp_path):
+        save_forest(tmp_path / "f.json", trained)
+        rows = np.random.default_rng(2).normal(size=(300, 14))
+        loaded = load_forest(tmp_path / "f.json")
+        assert np.array_equal(forest_predict_many(loaded, rows), _scalar_predict(trained, rows))
 
 
 class TestForestSerialization:
