@@ -27,7 +27,7 @@ print(f"commit {target}: defect probability {score:.3f} "
       f"(label {labels[target]})\n")
 
 explanation = explain_instance(
-    lambda row: forest_predict(forest, row), x, train_matrix,
+    lambda rows: forest_predict_many(forest, rows), x, train_matrix,
     n_samples=1000, seed=0)
 print(explanation.as_text())
 print("\nPositive weights push toward defective, negative toward clean;")

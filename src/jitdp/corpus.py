@@ -2,9 +2,10 @@
 
 A corpus is an ordered list of CommitRecord objects. On disk a corpus is a
 UTF-8 JSON-lines file, one commit object per line with keys:
-commit_id (str), timestamp (int, seconds since epoch), author (str),
-message (str), files (list of {path, added_lines, removed_lines,
-loc_before}), and an optional label (0 or 1). Unknown keys are ignored.
+commit_id (str), timestamp (int, seconds since epoch, strictly within
++-2**62), author (str), message (str), files (list of {path, added_lines,
+removed_lines, loc_before}), and an optional label (0 or 1). Unknown keys
+are ignored.
 
 All randomized operations take an explicit seed and reproduce bit-identical
 output for equal seeds.
@@ -57,6 +58,9 @@ class SplitAssignment:
         return self.train_ids | self.validation_ids | self.test_ids
 
 
+# The history index subtracts timestamps in int64: any two timestamps
+# strictly inside +-2**62 have a difference that int64 holds.
+TIMESTAMP_LIMIT = 2**62
 _REQUIRED_KEYS = ("commit_id", "timestamp", "author", "message", "files")
 _FILE_KEYS = ("path", "added_lines", "removed_lines", "loc_before")
 
@@ -97,6 +101,8 @@ def parse_commit_line(line: str, line_no: int) -> CommitRecord:
     # type() rather than isinstance(): JSON true/false load as bool, an int subclass.
     if type(obj["timestamp"]) is not int:
         raise DataError(f"line {line_no}: field 'timestamp' must be an integer")
+    if not -TIMESTAMP_LIMIT < obj["timestamp"] < TIMESTAMP_LIMIT:
+        raise DataError(f"line {line_no}: field 'timestamp' must lie strictly within +-2**62 seconds")
     if not isinstance(obj["files"], list):
         raise DataError(f"line {line_no}: field 'files' must be an array")
     label = obj.get("label")

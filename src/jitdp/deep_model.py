@@ -19,7 +19,7 @@ import numpy as np
 from . import nn
 from .evaluation import prf1
 from .fusion import early_fuse_backward, early_fuse_forward, early_fused_dim, early_fusion_init
-from .textprep import PAD_ID, EncodedCommit, TextShape, Vocab, encode_commit
+from .textprep import PAD_ID, EncodedCommit, TextShape, Vocab, encode_commits
 
 
 @dataclass(frozen=True)
@@ -70,31 +70,23 @@ class DeepDataset:
 def build_dataset(commits, vocab: Vocab, shape: TextShape, feature_entries=None) -> DeepDataset:
     """Encode commits; feature_entries (commit_id -> FeatureSplitEntry) is
     optional and only needed for early-fused models."""
-    ids, msgs, files, cats, conts, labels = [], [], [], [], [], []
-    for commit in commits:
-        enc = encode_commit(commit, vocab, shape)
-        ids.append(commit.commit_id)
-        msgs.append(enc.message_ids)
-        files.append(enc.file_ids)
-        if feature_entries is not None:
-            entry = feature_entries[commit.commit_id]
-            cats.append(entry.x_cat)
-            conts.append(entry.x_cont)
-        labels.append(-1 if commit.label is None else commit.label)
-    n = len(ids)
+    commits = list(commits)
+    message_ids, file_ids = encode_commits(commits, vocab, shape)
+    n = len(commits)
     if feature_entries is None:
         cats = np.zeros((n, 1))
         conts = np.zeros((n, 13))
     else:
-        cats = np.stack(cats)
-        conts = np.stack(conts)
+        entries = [feature_entries[c.commit_id] for c in commits]
+        cats = np.stack([e.x_cat for e in entries])
+        conts = np.stack([e.x_cont for e in entries])
     return DeepDataset(
-        commit_ids=tuple(ids),
-        message_ids=np.stack(msgs),
-        file_ids=np.stack(files),
+        commit_ids=tuple(c.commit_id for c in commits),
+        message_ids=message_ids,
+        file_ids=file_ids,
         x_cat=cats,
         x_cont=conts,
-        labels=np.asarray(labels, dtype=np.int64),
+        labels=np.array([-1 if c.label is None else c.label for c in commits], dtype=np.int64),
     )
 
 

@@ -62,12 +62,6 @@ def _bin_of(value: float, boundaries: np.ndarray) -> int:
     return int(np.searchsorted(boundaries, value, side="left"))
 
 
-def _bin_range(idx: int, boundaries: np.ndarray, lo: float, hi: float):
-    left = lo if idx == 0 else float(boundaries[idx - 1])
-    right = hi if idx == len(boundaries) else float(boundaries[idx])
-    return left, right
-
-
 def _condition(name: str, idx: int, boundaries: np.ndarray) -> str:
     if idx == 0:
         return f"{name} <= {boundaries[0]:.2f}"
@@ -79,8 +73,10 @@ def _condition(name: str, idx: int, boundaries: np.ndarray) -> str:
 def explain_instance(predict_fn, x, train_features, n_samples: int = 1000,
                      seed: int = 0, feature_names=FEATURE_NAMES,
                      kernel_width: float | None = None, ridge: float = 1.0) -> Explanation:
-    """Explain predict_fn's score at x (a feature vector) against the
-    training matrix the quartile bins come from. Deterministic given seed."""
+    """Explain the score at x (a feature vector) against the training matrix
+    the quartile bins come from. predict_fn maps an (n_samples, p) matrix of
+    perturbed rows to their n_samples scores in one call. Deterministic
+    given seed."""
     x = np.asarray(x, dtype=np.float64)
     train = np.asarray(train_features, dtype=np.float64)
     if train.ndim != 2 or train.shape[1] != len(x):
@@ -97,20 +93,23 @@ def explain_instance(predict_fn, x, train_features, n_samples: int = 1000,
     n_bins = np.array([len(b[0]) + 1 for b in bins])
 
     # Row 0 is the instance itself; the rest resample bins uniformly and
-    # draw a value inside the chosen bin.
-    z = np.ones((n_samples, p))
-    values = np.tile(x, (n_samples, 1))
+    # draw a value inside the chosen bin. Bin b of feature j spans
+    # edges[j, b] .. edges[j, b + 1]: the value range cut at the boundaries.
+    edges = np.zeros((p, int(n_bins.max()) + 1))
+    for j, (boundaries, lo, hi) in enumerate(bins):
+        edges[j, : len(boundaries) + 2] = [lo, *boundaries, hi]
     sampled = rng.integers(0, n_bins[None, :], size=(n_samples, p))
     uniforms = rng.random((n_samples, p))
-    for j in range(p):
-        boundaries, lo, hi = bins[j]
-        for i in range(1, n_samples):
-            b = int(sampled[i, j])
-            z[i, j] = 1.0 if b == inst_bins[j] else 0.0
-            left, right = _bin_range(b, boundaries, lo, hi)
-            values[i, j] = left + uniforms[i, j] * (right - left)
+    cols = np.arange(p)
+    left, right = edges[cols, sampled], edges[cols, sampled + 1]
+    values = left + uniforms * (right - left)
+    values[0] = x
+    z = (sampled == inst_bins).astype(np.float64)
+    z[0] = 1.0
 
-    y = np.asarray([float(predict_fn(values[i])) for i in range(n_samples)])
+    y = np.asarray(predict_fn(values), dtype=np.float64)
+    if y.shape != (n_samples,):
+        raise ValueError(f"predict_fn returned shape {y.shape} for {n_samples} rows")
     dist_sq = (1.0 - z).sum(axis=1)  # squared euclidean on binary rows
     kernel = np.exp(-dist_sq / kernel_width**2)
 

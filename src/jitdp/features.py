@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,6 +31,7 @@ CATEGORICAL_NAMES = ("fix",)
 CONTINUOUS_NAMES = tuple(n for n in FEATURE_NAMES if n not in CATEGORICAL_NAMES)
 _FIX_INDEX = FEATURE_NAMES.index("fix")
 _CONT_INDICES = np.array([i for i, n in enumerate(FEATURE_NAMES) if n != "fix"])
+_ROW = attrgetter(*FEATURE_NAMES)
 
 _FIX_PATTERN = re.compile(
     r"\b(bug|fix|fixes|fixed|defect|fault|patch|error|fail|failure)\b",
@@ -68,20 +70,28 @@ class HandCraftedVector:
     sexp: int
 
     def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, n) for n in FEATURE_NAMES], dtype=np.float64)
+        return np.array(_ROW(self), dtype=np.float64)
+
+
+def feature_matrix(vectors) -> np.ndarray:
+    """(n, 14) float64 matrix, one row per vector in FEATURE_NAMES order."""
+    return np.array([_ROW(v) for v in vectors], dtype=np.float64).reshape(-1, len(FEATURE_NAMES))
 
 
 class HistoryIndex:
     """Incremental view of everything strictly earlier than the commit being
     featurized. `update` must be called in (timestamp, commit_id) order,
-    after the commit has been featurized against the current state."""
+    after the commit has been featurized against the current state.
+
+    Each author's commit timestamps sit in an int64 buffer that doubles when
+    full; its first author_commits[author] entries are the filled ones."""
 
     def __init__(self):
         self.path_last_modified: dict[str, int] = {}
         self.path_authors: dict[str, set] = {}
         self.path_change_ids: dict[str, set] = {}
         self.author_commits: dict[str, int] = {}
-        self.author_commit_times: dict[str, list] = {}
+        self.author_commit_times: dict[str, np.ndarray] = {}
         self.author_subsystem_counts: dict[str, dict] = {}
         self._cursor: tuple | None = None
 
@@ -96,8 +106,15 @@ class HistoryIndex:
             self.path_last_modified[path] = commit.timestamp
             self.path_authors.setdefault(path, set()).add(commit.author)
             self.path_change_ids.setdefault(path, set()).add(commit.commit_id)
-        self.author_commits[commit.author] = self.author_commits.get(commit.author, 0) + 1
-        self.author_commit_times.setdefault(commit.author, []).append(commit.timestamp)
+        n = self.author_commits.get(commit.author, 0)
+        times = self.author_commit_times.get(commit.author)
+        if times is None or n == len(times):
+            grown = np.empty(max(4, 2 * n), dtype=np.int64)
+            if n:
+                grown[:n] = times
+            self.author_commit_times[commit.author] = times = grown
+        times[n] = commit.timestamp
+        self.author_commits[commit.author] = n + 1
         sub_counts = self.author_subsystem_counts.setdefault(commit.author, {})
         for sub in {subsystem_of(f.path) for f in commit.files}:
             sub_counts[sub] = sub_counts.get(sub, 0) + 1
@@ -111,18 +128,21 @@ def extract_features(commit: CommitRecord, history: HistoryIndex) -> HandCrafted
     subsystems = {subsystem_of(p) for p in paths}
     directories = {directory_of(p) for p in paths}
 
-    line_counts = np.array([f.modified_line_count() for f in commit.files], dtype=np.float64)
-    total_lines = float(line_counts.sum())
+    line_counts = [f.modified_line_count() for f in commit.files]
+    total_lines = sum(line_counts)
     n_files = len(commit.files)
     if n_files > 1 and total_lines > 0:
-        p = line_counts[line_counts > 0] / total_lines
+        counts = np.array(line_counts, dtype=np.float64)
+        p = counts[counts > 0] / float(total_lines)
         entropy = float(-(p * np.log2(p)).sum() / np.log2(n_files))
     else:
         entropy = 0.0
 
     la = sum(len(f.added_lines) for f in commit.files)
     ld = sum(len(f.removed_lines) for f in commit.files)
-    lt = float(np.mean([f.loc_before for f in commit.files]))
+    # An exact integer sum and one correctly rounded division: np.mean's bits
+    # while the sum stays below 2**53.
+    lt = sum(f.loc_before for f in commit.files) / n_files
 
     prior_authors = set()
     prior_changes = set()
@@ -133,11 +153,17 @@ def extract_features(commit: CommitRecord, history: HistoryIndex) -> HandCrafted
         last = history.path_last_modified.get(path)
         age_days.append(0.0 if last is None else (commit.timestamp - last) / SECONDS_PER_DAY)
 
+    # np.mean's bits (its pairwise sum, then one division) without its
+    # per-call overhead.
+    age = float(np.add.reduce(np.array(age_days))) / len(age_days)
+
     exp = history.author_commits.get(commit.author, 0)
-    rexp = sum(
-        1.0 / ((commit.timestamp - t) / SECONDS_PER_YEAR + 1.0)
-        for t in history.author_commit_times.get(commit.author, [])
-    )
+    rexp = 0.0
+    if exp:
+        # cumsum adds left to right like a sequential sum, so the result does
+        # not depend on numpy's pairwise reduction.
+        times = history.author_commit_times[commit.author][:exp]
+        rexp = float(np.cumsum(1.0 / ((commit.timestamp - times) / SECONDS_PER_YEAR + 1.0))[-1])
     sub_counts = history.author_subsystem_counts.get(commit.author, {})
     sexp = sum(sub_counts.get(s, 0) for s in subsystems)
 
@@ -151,10 +177,10 @@ def extract_features(commit: CommitRecord, history: HistoryIndex) -> HandCrafted
         lt=lt,
         fix=classify_fix_message(commit.message),
         ndev=len(prior_authors),
-        age=float(np.mean(age_days)),
+        age=age,
         nuc=len(prior_changes),
         exp=exp,
-        rexp=float(rexp),
+        rexp=rexp,
         sexp=sexp,
     )
 
@@ -202,7 +228,7 @@ class FeatureSplitEntry:
 
 def fit_train_stats(vectors, split: str = "train", provenance: str = "") -> TrainStats:
     """Per-feature mean/std (population) of the continuous block."""
-    rows = np.stack([v.as_array()[_CONT_INDICES] for v in vectors])
+    rows = feature_matrix(vectors).take(_CONT_INDICES, axis=1)
     return TrainStats(
         mean=rows.mean(axis=0),
         std=rows.std(axis=0),
@@ -211,17 +237,26 @@ def fit_train_stats(vectors, split: str = "train", provenance: str = "") -> Trai
     )
 
 
-def split_and_normalize(vector: HandCraftedVector, stats: TrainStats) -> FeatureSplitEntry:
-    """x_cat = (fix,); x_cont = the 13 remaining features z-scored with the
-    training statistics (constant features map to 0). Refuses statistics
-    that were not computed on a training split."""
+def normalize_features(x: np.ndarray, stats: TrainStats) -> tuple:
+    """(x_cat, x_cont) for an (n, 14) feature matrix: x_cat = the (n, 1) fix
+    column; x_cont = the 13 remaining columns z-scored with the training
+    statistics (constant features map to 0). Refuses statistics that were
+    not computed on a training split."""
     if stats.split != "train":
         raise ValueError(f"feature statistics carry split '{stats.split}', expected 'train'")
-    raw = vector.as_array()
-    cont = raw[_CONT_INDICES]
-    std = np.where(stats.std > 0, stats.std, 1.0)
-    z = np.where(stats.std > 0, (cont - stats.mean) / std, 0.0)
-    return FeatureSplitEntry(x_cat=np.array([raw[_FIX_INDEX]]), x_cont=z)
+    # take() keeps the blocks C-ordered (x[:, idx] would not), and the deep
+    # model's matmuls round by memory layout.
+    live = stats.std > 0
+    z = np.where(live, (x.take(_CONT_INDICES, axis=1) - stats.mean) / np.where(live, stats.std, 1.0),
+                 0.0)
+    return x.take([_FIX_INDEX], axis=1), z
+
+
+def split_and_normalize(vector: HandCraftedVector, stats: TrainStats) -> FeatureSplitEntry:
+    """normalize_features of one vector: x_cat = (fix,), x_cont the 13
+    z-scored continuous features."""
+    x_cat, x_cont = normalize_features(vector.as_array()[None, :], stats)
+    return FeatureSplitEntry(x_cat=x_cat[0], x_cont=x_cont[0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +39,13 @@ from .evaluation import (
     wilcoxon_signed_rank,
 )
 from .explain import explain_instance
-from .features import (
+# split_and_normalize is not called here; perfbench/spans.py wraps it in this namespace.
+from .features import (  # noqa: F401
     TrainStats,
+    feature_matrix,
     featurize_corpus,
     fit_train_stats,
+    normalize_features,
     split_and_normalize,
     write_feature_table,
 )
@@ -169,6 +172,11 @@ def _train_documents(commits):
     return docs
 
 
+def _dataset(commits, vocab: Vocab, shape: TextShape, x_cat, x_cont):
+    """build_dataset with the normalized feature rows of the same commits."""
+    return replace(build_dataset(commits, vocab, shape), x_cat=x_cat, x_cont=x_cont)
+
+
 def _metric_row(name, report):
     d = report.as_dict()
     d["model"] = name
@@ -262,7 +270,13 @@ def _run_once(corpus, config: RunConfig, out: Path, until: str,
     write_feature_table(out / "features.csv", ordered, vectors)
     (out / "train_ids.txt").write_text("\n".join(train_ids) + "\n", encoding="utf-8")
     stats = fit_train_stats([vectors[i] for i in train_ids], split="train", provenance=provenance)
-    entries = {i: split_and_normalize(vectors[i], stats) for i in by_id}
+    x_all = feature_matrix(vectors[c.commit_id] for c in ordered)
+    x_cat, x_cont = normalize_features(x_all, stats)
+    row_of = {c.commit_id: j for j, c in enumerate(ordered)}
+
+    def rows(ids):
+        return [row_of[i] for i in ids]
+
     prov.note("features", "feature table over all commits; z-stats from train rows only")
     if until == "features":
         prov.write(out / "provenance.log")
@@ -275,13 +289,16 @@ def _run_once(corpus, config: RunConfig, out: Path, until: str,
 
     shape = config.text_shape()
     deep_cfg = config.deep_config()
-    train_ds = build_dataset([by_id[i] for i in train_ids], vocab, shape, entries)
-    val_ds = build_dataset([by_id[i] for i in val_ids], vocab, shape, entries)
-    test_ds = build_dataset([by_id[i] for i in test_ids], vocab, shape, entries)
+
+    def encoded(ids):
+        r = rows(ids)
+        return _dataset([by_id[i] for i in ids], vocab, shape, x_cat[r], x_cont[r])
+
+    train_ds, val_ds, test_ds = encoded(train_ids), encoded(val_ids), encoded(test_ids)
 
     def _train_models():
         balanced = sorted(undersample(train_ids, labels, config.seed))
-        x_train = np.stack([vectors[i].as_array() for i in balanced])
+        x_train = x_all[rows(balanced)]
         y_train = np.array([labels[i] for i in balanced])
         sim = train_forest(x_train, y_train, ForestConfig(n_trees=config.forest_trees),
                            seed=config.seed, threads=config.threads)
@@ -307,7 +324,7 @@ def _run_once(corpus, config: RunConfig, out: Path, until: str,
         return
 
     def _sweep():
-        sim_val = forest_predict_many(sim, np.stack([vectors[i].as_array() for i in val_ids]))
+        sim_val = forest_predict_many(sim, x_all[rows(val_ids)])
         com_val = score_dataset(com_params, deep_cfg, val_ds)
         early_val = {s: score_dataset(p, deep_cfg, val_ds, s) for s, p in early_params.items()}
         result = fusion.sweep_combinations(val_ds.labels, sim_val, com_val, early_val)
@@ -342,7 +359,7 @@ def _run_once(corpus, config: RunConfig, out: Path, until: str,
         return
 
     def _evaluate():
-        x_test = np.stack([vectors[i].as_array() for i in test_ids])
+        x_test = x_all[rows(test_ids)]
         y_test = test_ds.labels
         scores = {
             "sim": forest_predict_many(sim, x_test),
@@ -474,9 +491,8 @@ def predict_commits(bundle: LoadedBundle, corpus) -> list:
         return []
     ordered = sort_chronologically(corpus)
     vectors = featurize_corpus(ordered)
-    entries = {i: split_and_normalize(vectors[i], bundle.stats) for i in vectors}
-    ds = build_dataset(ordered, bundle.vocab, bundle.shape, entries)
-    x = np.stack([vectors[c.commit_id].as_array() for c in ordered])
+    x = feature_matrix(vectors[c.commit_id] for c in ordered)
+    ds = _dataset(ordered, bundle.vocab, bundle.shape, *normalize_features(x, bundle.stats))
     sim_scores = forest_predict_many(bundle.sim, x)
     com_scores = score_dataset(bundle.com_params, bundle.deep_cfg, ds)
     early_scores = None
@@ -525,8 +541,8 @@ def explain_commit(bundle: LoadedBundle, corpus, commit_id: str,
         raise DataError(f"commit '{commit_id}' not present in the stream")
     x = vectors[commit_id].as_array()
 
-    def predict_fn(row):
-        return forest_predict_many(bundle.sim, row[None, :])[0]
+    def predict_fn(rows):
+        return forest_predict_many(bundle.sim, rows)
 
     return explain_instance(predict_fn, x, train_matrix, n_samples=n_samples, seed=seed)
 

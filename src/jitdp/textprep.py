@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,16 +65,21 @@ class Vocab:
     min_frequency: int
     split: str = "train"
     provenance: str = ""
+    # token_to_id plus the two headers, which take precedence over any body
+    # entry of the same text; every other token maps to UNK_ID.
+    table: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = dict(self.token_to_id)
+        table[ADDED_HEADER] = ADDED_ID
+        table[REMOVED_HEADER] = REMOVED_ID
+        object.__setattr__(self, "table", table)
 
     def __len__(self) -> int:
         return 4 + len(self.token_to_id)
 
     def lookup(self, token: str) -> int:
-        if token == ADDED_HEADER:
-            return ADDED_ID
-        if token == REMOVED_HEADER:
-            return REMOVED_ID
-        return self.token_to_id.get(token, UNK_ID)
+        return self.table.get(token, UNK_ID)
 
     def id_to_token(self) -> dict:
         table = {i: name for i, name in _RESERVED}
@@ -110,23 +115,28 @@ class EncodedCommit:
     shape: TextShape
 
 
-def _fit(ids: list, length: int) -> np.ndarray:
-    out = np.full(length, PAD_ID, dtype=np.int64)
-    ids = ids[:length]
-    out[: len(ids)] = ids
-    return out
+def encode_commits(commits, vocab: Vocab, shape: TextShape) -> tuple:
+    """(message_ids (n, l_msg), file_ids (n, files, l_code)) int64 for a
+    sequence of commits: each message padded/truncated to l_msg, each file
+    document to l_code, and the file list to `files` rows (first rows by
+    file order; padding rows are all-padding). Token lists are cut to length
+    before their ids are looked up."""
+    table = vocab.table
+    msg = np.full((len(commits), shape.l_msg), PAD_ID, dtype=np.int64)
+    file_ids = np.full((len(commits), shape.files, shape.l_code), PAD_ID, dtype=np.int64)
+    for i, commit in enumerate(commits):
+        ids = [table.get(t, UNK_ID) for t in tokenize(commit.message)[: shape.l_msg]]
+        msg[i, : len(ids)] = ids
+        for row, file in enumerate(commit.files[: shape.files]):
+            ids = [table.get(t, UNK_ID) for t in render_change_document(file)[: shape.l_code]]
+            file_ids[i, row, : len(ids)] = ids
+    return msg, file_ids
 
 
 def encode_commit(commit: CommitRecord, vocab: Vocab, shape: TextShape) -> EncodedCommit:
-    """Pad/truncate the message to l_msg, each file document to l_code, and
-    the file list to `files` rows (first rows by file order; padding rows
-    are all-padding)."""
-    msg = _fit([vocab.lookup(t) for t in tokenize(commit.message)], shape.l_msg)
-    file_ids = np.full((shape.files, shape.l_code), PAD_ID, dtype=np.int64)
-    for row, file in enumerate(commit.files[: shape.files]):
-        doc = render_change_document(file)
-        file_ids[row] = _fit([vocab.lookup(t) for t in doc], shape.l_code)
-    return EncodedCommit(message_ids=msg, file_ids=file_ids, shape=shape)
+    """encode_commits of one commit."""
+    msg, file_ids = encode_commits([commit], vocab, shape)
+    return EncodedCommit(message_ids=msg[0], file_ids=file_ids[0], shape=shape)
 
 
 def decode_ids(ids, vocab: Vocab) -> list[str]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from jitdp.corpus import CommitRecord, FileChange
+from jitdp.corpus import CommitRecord, FileChange, SyntheticSpec, sort_chronologically, synthesize_corpus
 
 T0 = 1_000_000_000
 HOUR = 3600
@@ -73,3 +73,11 @@ FIXTURE_COMMITS = [
 @pytest.fixture
 def fixture_corpus():
     return list(FIXTURE_COMMITS)
+
+
+@pytest.fixture(scope="session")
+def acceptance_corpus():
+    """The acceptance suite's 2,000-commit synthetic corpus, sorted."""
+    spec = SyntheticSpec(size=2000, imbalance=3.0, feature_strength=0.5,
+                         text_strength=0.5, seed=11)
+    return sort_chronologically(synthesize_corpus(spec))

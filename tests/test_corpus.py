@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitdp.corpus import (
     CommitRecord,
@@ -14,6 +16,7 @@ from jitdp.corpus import (
     commit_to_json,
     drop_large_commits,
     load_commit_stream,
+    parse_commit_line,
     save_commit_stream,
     sort_chronologically,
     stratified_kfold,
@@ -52,6 +55,17 @@ class TestLoadStream:
         path.write_text(_minimal_line("c0") + "\n" + _minimal_line("c1", ts=True) + "\n")
         with pytest.raises(DataError, match=r"line 2.*'timestamp'"):
             load_commit_stream(path)
+
+    @pytest.mark.parametrize("ts", [2**62, -(2**62), 2**63, -(2**63) - 1, 10**30])
+    def test_timestamp_outside_int64_difference_range_rejected(self, tmp_path, ts):
+        path = tmp_path / "c.jsonl"
+        path.write_text(_minimal_line("c0") + "\n" + _minimal_line("c1", ts=ts) + "\n")
+        with pytest.raises(DataError, match=r"line 2.*'timestamp'"):
+            load_commit_stream(path)
+
+    def test_timestamp_range_edges_accepted(self):
+        for ts in (2**62 - 1, -(2**62) + 1):
+            assert parse_commit_line(_minimal_line(ts=ts), 1).timestamp == ts
 
     def test_boolean_label_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -330,3 +344,25 @@ class TestSignalLevels:
         auc = self._forest_auc(SyntheticSpec(size=400, feature_strength=0.0,
                                              text_strength=1.0, seed=7))
         assert auc < 0.6
+
+
+_STRINGS = st.text(max_size=12)
+
+
+@st.composite
+def commit_records(draw):
+    files = tuple(
+        FileChange(draw(_STRINGS), tuple(draw(st.lists(_STRINGS, max_size=3))),
+                   tuple(draw(st.lists(_STRINGS, max_size=3))), draw(st.integers(0, 2**64)))
+        for _ in range(draw(st.integers(0, 3))))
+    return CommitRecord(draw(_STRINGS), draw(st.integers(-(2**62) + 1, 2**62 - 1)), draw(_STRINGS),
+                        draw(_STRINGS), files, draw(st.sampled_from((None, 0, 1))))
+
+
+class TestCommitJsonRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(record=commit_records())
+    def test_parse_of_serialized_commit_is_the_commit(self, record):
+        line = commit_to_json(record)
+        assert "\n" not in line
+        assert parse_commit_line(line, 1) == record

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from jitdp.explain import explain_instance
+from jitdp.explain import Explanation, FeatureExplanation, _bin_of, _condition, _quartile_bins, explain_instance
 from jitdp.features import FEATURE_NAMES
+from jitdp.simple_model import ForestConfig, forest_predict_many, train_forest
 
 
 @pytest.fixture(scope="module")
@@ -20,15 +21,15 @@ def _logistic_on(index, train):
     center = train[:, index].mean()
     scale = max(train[:, index].std(), 1e-9)
 
-    def predict(row):
-        return 1.0 / (1.0 + np.exp(-(row[index] - center) / scale))
+    def predict(rows):
+        return 1.0 / (1.0 + np.exp(-(rows[:, index] - center) / scale))
 
     return predict
 
 
 class TestExplainInstance:
     def test_constant_scorer_gives_zero_weights_and_zero_fidelity(self, train_matrix):
-        exp = explain_instance(lambda row: 0.37, train_matrix[3], train_matrix,
+        exp = explain_instance(lambda rows: np.full(len(rows), 0.37), train_matrix[3], train_matrix,
                                n_samples=300, seed=1)
         assert max(abs(e.weight) for e in exp.entries) < 1e-12
         assert exp.fidelity == 0.0
@@ -80,7 +81,7 @@ class TestExplainInstance:
 
     def test_degenerate_training_matrix_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            explain_instance(lambda row: 0.5, np.zeros(14), np.zeros((50, 14)))
+            explain_instance(lambda rows: np.full(len(rows), 0.5), np.zeros(14), np.zeros((50, 14)))
 
     def test_text_rendering(self, train_matrix):
         exp = explain_instance(_logistic_on(4, train_matrix), train_matrix[5],
@@ -90,3 +91,76 @@ class TestExplainInstance:
         assert exp.entries[0].condition in text
         d = exp.as_dict()
         assert len(d["entries"]) == 14
+
+
+def reference_explain(predict_row, x, train, n_samples, seed, kernel_width=None, ridge=1.0):
+    """explain_instance as it stood before the sampler became array
+    operations: one bin draw and one predict call per perturbed sample."""
+    x = np.asarray(x, dtype=np.float64)
+    p = len(x)
+    if kernel_width is None:
+        kernel_width = 0.75 * np.sqrt(p)
+    rng = np.random.default_rng(seed)
+    bins = [_quartile_bins(train[:, j]) for j in range(p)]
+    inst_bins = np.array([_bin_of(x[j], bins[j][0]) for j in range(p)])
+    n_bins = np.array([len(b[0]) + 1 for b in bins])
+    z = np.ones((n_samples, p))
+    values = np.tile(x, (n_samples, 1))
+    sampled = rng.integers(0, n_bins[None, :], size=(n_samples, p))
+    uniforms = rng.random((n_samples, p))
+    for j in range(p):
+        boundaries, lo, hi = bins[j]
+        for i in range(1, n_samples):
+            b = int(sampled[i, j])
+            z[i, j] = 1.0 if b == inst_bins[j] else 0.0
+            left = lo if b == 0 else float(boundaries[b - 1])
+            right = hi if b == len(boundaries) else float(boundaries[b])
+            values[i, j] = left + uniforms[i, j] * (right - left)
+    y = np.asarray([float(predict_row(values[i])) for i in range(n_samples)])
+    kernel = np.exp(-(1.0 - z).sum(axis=1) / kernel_width**2)
+    design = np.concatenate([np.ones((n_samples, 1)), z], axis=1)
+    wd = design * kernel[:, None]
+    gram = design.T @ wd
+    gram[1:, 1:] += ridge * np.eye(p)
+    coef = np.linalg.solve(gram, wd.T @ y)
+    fitted = design @ coef
+    y_mean = float((kernel * y).sum() / kernel.sum())
+    ss_tot = float((kernel * (y - y_mean) ** 2).sum())
+    ss_res = float((kernel * (y - fitted) ** 2).sum())
+    if ss_tot <= 1e-12 * max(float((kernel * y**2).sum()), 1.0):
+        fidelity = 0.0
+    else:
+        fidelity = 1.0 - ss_res / ss_tot
+    entries = [
+        FeatureExplanation(feature=FEATURE_NAMES[j],
+                           condition=_condition(FEATURE_NAMES[j], int(inst_bins[j]), bins[j][0]),
+                           weight=float(coef[1 + j]),
+                           direction="defective" if coef[1 + j] > 0 else "clean")
+        for j in range(p)]
+    entries.sort(key=lambda e: -abs(e.weight))
+    return Explanation(entries=tuple(entries), fidelity=fidelity, intercept=float(coef[0]))
+
+
+class TestBatchedSamplerAgainstReference:
+    @pytest.fixture(scope="class")
+    def forest(self, train_matrix):
+        y = (train_matrix[:, 4] + train_matrix[:, 9] > np.median(train_matrix[:, 4] + train_matrix[:, 9]))
+        return train_forest(train_matrix, y.astype(int), ForestConfig(n_trees=20), seed=3)
+
+    @pytest.mark.parametrize("row, seed, n_samples", [(5, 0, 1000), (0, 7, 300), (123, 2, 1), (399, 9, 64)])
+    def test_forest_scorer(self, train_matrix, forest, row, seed, n_samples):
+        x = train_matrix[row]
+        got = explain_instance(lambda rows: forest_predict_many(forest, rows), x, train_matrix,
+                               n_samples=n_samples, seed=seed)
+        assert got == reference_explain(lambda r: forest_predict_many(forest, r[None, :])[0], x,
+                                        train_matrix, n_samples, seed)
+
+    def test_linear_scorer_off_the_training_rows(self, train_matrix):
+        x = train_matrix.max(axis=0) + 1.0  # every feature above its last quartile
+        got = explain_instance(lambda rows: 0.3 * rows[:, 4] - 0.1 * rows[:, 9], x, train_matrix,
+                               n_samples=500, seed=4)
+        assert got == reference_explain(lambda r: 0.3 * r[4] - 0.1 * r[9], x, train_matrix, 500, 4)
+
+    def test_scorer_must_return_one_score_per_row(self, train_matrix):
+        with pytest.raises(ValueError, match="shape"):
+            explain_instance(lambda rows: 0.5, train_matrix[0], train_matrix, n_samples=50)

@@ -11,6 +11,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitdp.corpus import CommitRecord, DataError, FileChange
 from jitdp.features import (
@@ -20,9 +22,11 @@ from jitdp.features import (
     TrainStats,
     classify_fix_message,
     extract_features,
+    feature_matrix,
     featurize_corpus,
     fit_train_stats,
     history_snapshots,
+    normalize_features,
     split_and_normalize,
     write_feature_table,
 )
@@ -321,3 +325,157 @@ class TestFeatureTable:
         assert labels == [c.label for c in labeled]
         for i, c in enumerate(labeled):
             assert np.array_equal(matrix[i], vectors[c.commit_id].as_array())
+
+
+# ---------------------------------------------------------------------------
+# Reference: extract_features as it stood before the history index kept
+# timestamps in int64 arrays (list history, Python sums, np.mean). The array
+# form must reproduce it bit for bit; repr() tells int from float and shows
+# every bit of a float.
+# ---------------------------------------------------------------------------
+
+
+class ListHistory:
+    def __init__(self):
+        self.path_last_modified = {}
+        self.path_authors = {}
+        self.path_change_ids = {}
+        self.author_commits = {}
+        self.author_commit_times = {}
+        self.author_subsystem_counts = {}
+
+    def update(self, commit):
+        for path in {f.path for f in commit.files}:
+            self.path_last_modified[path] = commit.timestamp
+            self.path_authors.setdefault(path, set()).add(commit.author)
+            self.path_change_ids.setdefault(path, set()).add(commit.commit_id)
+        self.author_commits[commit.author] = self.author_commits.get(commit.author, 0) + 1
+        self.author_commit_times.setdefault(commit.author, []).append(commit.timestamp)
+        sub_counts = self.author_subsystem_counts.setdefault(commit.author, {})
+        for sub in {f.path.split("/", 1)[0] for f in commit.files}:
+            sub_counts[sub] = sub_counts.get(sub, 0) + 1
+
+
+def reference_features(commit, history):
+    paths = sorted({f.path for f in commit.files})
+    subsystems = {p.split("/", 1)[0] for p in paths}
+    directories = {p.rsplit("/", 1)[0] if "/" in p else p for p in paths}
+    line_counts = np.array([f.modified_line_count() for f in commit.files], dtype=np.float64)
+    total_lines = float(line_counts.sum())
+    n_files = len(commit.files)
+    if n_files > 1 and total_lines > 0:
+        p = line_counts[line_counts > 0] / total_lines
+        entropy = float(-(p * np.log2(p)).sum() / np.log2(n_files))
+    else:
+        entropy = 0.0
+    prior_authors, prior_changes, age_days = set(), set(), []
+    for path in paths:
+        prior_authors |= history.path_authors.get(path, set())
+        prior_changes |= history.path_change_ids.get(path, set())
+        last = history.path_last_modified.get(path)
+        age_days.append(0.0 if last is None else (commit.timestamp - last) / 86_400.0)
+    rexp = sum(1.0 / ((commit.timestamp - t) / (365.25 * 86_400.0) + 1.0)
+               for t in history.author_commit_times.get(commit.author, []))
+    sub_counts = history.author_subsystem_counts.get(commit.author, {})
+    return (len(subsystems), len(directories), n_files, entropy,
+            sum(len(f.added_lines) for f in commit.files),
+            sum(len(f.removed_lines) for f in commit.files),
+            float(np.mean([f.loc_before for f in commit.files])),
+            classify_fix_message(commit.message), len(prior_authors),
+            float(np.mean(age_days)), len(prior_changes),
+            history.author_commits.get(commit.author, 0), float(rexp),
+            sum(sub_counts.get(s, 0) for s in subsystems))
+
+
+def assert_matches_reference(corpus):
+    vectors = featurize_corpus(corpus)
+    history = ListHistory()
+    for commit in corpus:
+        got = [repr(v) for v in _as_tuple(vectors[commit.commit_id])]
+        assert got == [repr(v) for v in reference_features(commit, history)], commit.commit_id
+        history.update(commit)
+
+
+_PATHS = ("core/a.py", "core/b.py", "core/x/c.py", "core/x/d.py", "net/e.py", "net/io/f.py",
+          "net/io/g.py", "ui/h.py", "ui/v/i.py", "db/j.py", "db/k.py", "README")
+_GAPS = (0, 0, 1, 3_600, 86_400, 40 * 86_400, 3 * 365 * 86_400)
+
+
+@st.composite
+def corpora(draw):
+    """Sorted corpora with repeated authors and paths, equal timestamps,
+    large time gaps, and commits of 8 or more distinct paths (numpy's
+    pairwise sum departs from a sequential one from 8 terms on)."""
+    t = draw(st.integers(-10**10, 10**10))
+    commits = []
+    for i in range(draw(st.integers(1, 30))):
+        t += draw(st.sampled_from(_GAPS) | st.integers(0, 10**8))
+        paths = draw(st.lists(st.sampled_from(_PATHS), min_size=1, max_size=3)
+                     | st.lists(st.sampled_from(_PATHS), min_size=8, max_size=12, unique=True))
+        files = tuple(
+            FileChange(path, ("+",) * draw(st.integers(0, 6)), ("-",) * draw(st.integers(0, 6)),
+                       draw(st.integers(0, 10**6)))
+            for path in paths)
+        commits.append(CommitRecord(f"c{i:03d}", t, draw(st.sampled_from(("ann", "bo", "cy"))),
+                                    draw(st.sampled_from(("fix crash", "add", "bug 7"))), files))
+    return sorted(commits, key=lambda c: (c.timestamp, c.commit_id))
+
+
+class TestArrayHistoryAgainstReference:
+    @settings(max_examples=50, deadline=None)
+    @given(corpus=corpora())
+    def test_hypothesis_corpora(self, corpus):
+        assert_matches_reference(corpus)
+
+    def test_nine_paths_with_fractional_ages(self):
+        history = [CommitRecord(f"h{j}", 1_000 + 7_919 * j * j, "bo", "m",
+                                (FileChange(_PATHS[j], ("+",) * j),)) for j in range(9)]
+        last = CommitRecord("z", 10**7, "bo", "m", tuple(FileChange(p, ("+",)) for p in _PATHS[:9]))
+        assert_matches_reference(history + [last])
+
+    def test_no_history(self):
+        commit = CommitRecord("x", 5, "a", "m", tuple(FileChange(f"p/{j}", ("l",) * j, (), j)
+                                                      for j in range(9)))
+        assert_matches_reference([commit])
+
+    def test_fixture_corpus(self, fixture_corpus):
+        assert_matches_reference(fixture_corpus)
+
+    def test_acceptance_corpus(self, acceptance_corpus):
+        assert_matches_reference(acceptance_corpus)
+
+    def test_timestamp_buffer_grows_past_its_capacity(self):
+        commits = [CommitRecord(f"c{i:02d}", i * 86_400, "a", "m", (FileChange("p/f", ("x",)),))
+                   for i in range(40)]
+        index = HistoryIndex()
+        for commit in commits:
+            index.update(commit)
+        assert index.author_commits["a"] == 40
+        assert list(index.author_commit_times["a"][:40]) == [c.timestamp for c in commits]
+
+
+class TestNormalizeFeatures:
+    def test_rows_equal_one_row_calls(self, fixture_corpus):
+        vectors = featurize_corpus(fixture_corpus)
+        stats = fit_train_stats(list(vectors.values())[:12])
+        x = feature_matrix(vectors.values())
+        x_cat, x_cont = normalize_features(x, stats)
+        assert x_cat.shape == (20, 1) and x_cont.shape == (20, 13)
+        assert x_cat.flags.c_contiguous and x_cont.flags.c_contiguous
+        for j, vec in enumerate(vectors.values()):
+            entry = split_and_normalize(vec, stats)
+            assert np.array_equal(x_cat[j], entry.x_cat)
+            assert np.array_equal(x_cont[j], entry.x_cont)
+
+    def test_matrix_rows_are_as_array(self, fixture_corpus):
+        vectors = list(featurize_corpus(fixture_corpus).values())
+        x = feature_matrix(vectors)
+        assert x.dtype == np.float64
+        assert np.array_equal(x, np.stack([v.as_array() for v in vectors]))
+        assert feature_matrix([]).shape == (0, 14)
+
+    def test_non_training_stats_rejected(self, fixture_corpus):
+        vectors = featurize_corpus(fixture_corpus)
+        leaked = fit_train_stats(list(vectors.values()), split="validation")
+        with pytest.raises(ValueError, match="split 'validation'"):
+            normalize_features(feature_matrix(vectors.values()), leaked)

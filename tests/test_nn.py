@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from jitdp import nn
 
@@ -377,6 +380,20 @@ class TestCheckpoint:
         assert sorted(loaded) == sorted(params)
         for name in params:
             assert np.array_equal(loaded[name], params[name])
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=st.dictionaries(
+        st.from_regex(r"[a-z][a-z0-9_.]{0,12}", fullmatch=True),
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+        max_size=5))
+    def test_round_trip_keeps_every_bit(self, params, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        nn.save_params(path, params)
+        loaded = nn.load_params(path)
+        assert sorted(loaded) == sorted(params)
+        for name, value in params.items():
+            assert loaded[name].dtype == np.float64 and loaded[name].shape == value.shape
+            assert loaded[name].tobytes() == value.tobytes()
 
     def test_corrupted_payload_detected(self, tmp_path):
         path = tmp_path / "model.ckpt"

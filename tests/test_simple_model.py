@@ -210,6 +210,22 @@ class TestForestSerialization:
         loaded = load_forest(path)
         assert np.array_equal(forest_predict_many(loaded, x), forest_predict_many(model, x))
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(10, 60), n_trees=st.integers(1, 8))
+    def test_round_trip_keeps_every_node(self, seed, n, n_trees, tmp_path_factory):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 14)) * rng.choice([1e-300, 1e-3, 1.0, 1e12], size=14)
+        y = rng.integers(0, 2, size=n)
+        y[:4] = (0, 0, 1, 1)  # training needs two rows of each class
+        model = train_forest(x, y, ForestConfig(n_trees=n_trees), seed=seed)
+        path = tmp_path_factory.mktemp("forest") / "forest.json"
+        save_forest(path, model)
+        loaded = load_forest(path)
+        assert loaded == model
+        assert [[tuple(map(type, node)) for node in tree] for tree in loaded.trees] == \
+            [[tuple(map(type, node)) for node in tree] for tree in model.trees]
+        assert np.array_equal(forest_predict_many(loaded, x), forest_predict_many(model, x))
+
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "forest.json"
         path.write_text('{"format": "other"}')

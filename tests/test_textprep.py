@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jitdp.corpus import CommitRecord, FileChange
+from jitdp.deep_model import build_dataset
 from jitdp.textprep import (
     ADDED_HEADER,
     ADDED_ID,
+    MICRO_SHAPE,
     PAD_ID,
     REMOVED_HEADER,
     REMOVED_ID,
@@ -249,3 +253,108 @@ class TestVocabFile:
         vocab = build_vocab([["x", "x"]], min_frequency=1, split="train", provenance="run1")
         assert vocab.split == "train"
         assert vocab.provenance == "run1"
+
+
+# ---------------------------------------------------------------------------
+# Reference: encode_commit as it stood before the vocabulary's token table:
+# one lookup per token with the headers checked first, then truncation.
+# ---------------------------------------------------------------------------
+
+
+def reference_encode(commit, vocab, shape):
+    def lookup(token):
+        if token == ADDED_HEADER:
+            return ADDED_ID
+        if token == REMOVED_HEADER:
+            return REMOVED_ID
+        return vocab.token_to_id.get(token, UNK_ID)
+
+    def fit(ids, length):
+        out = np.full(length, PAD_ID, dtype=np.int64)
+        ids = ids[:length]
+        out[: len(ids)] = ids
+        return out
+
+    msg = fit([lookup(t) for t in tokenize(commit.message)], shape.l_msg)
+    file_ids = np.full((shape.files, shape.l_code), PAD_ID, dtype=np.int64)
+    for row, file in enumerate(commit.files[: shape.files]):
+        file_ids[row] = fit([lookup(t) for t in render_change_document(file)], shape.l_code)
+    return msg, file_ids
+
+
+def assert_encodes_like_reference(commits, vocab, shape):
+    ds = build_dataset(commits, vocab, shape)
+    assert ds.message_ids.dtype == ds.file_ids.dtype == np.int64
+    for i, commit in enumerate(commits):
+        msg, file_ids = reference_encode(commit, vocab, shape)
+        one = encode_commit(commit, vocab, shape)
+        for got_msg, got_files in ((one.message_ids, one.file_ids),
+                                   (ds.message_ids[i], ds.file_ids[i])):
+            assert np.array_equal(got_msg, msg) and np.array_equal(got_files, file_ids)
+
+
+_TEXT = st.text(alphabet="abcxyz:;.=( \n", max_size=40)
+
+
+@st.composite
+def encoding_cases(draw):
+    commits = [
+        CommitRecord(f"c{i}", i, "a", draw(_TEXT), tuple(
+            FileChange(f"p/{j}", tuple(draw(st.lists(_TEXT, max_size=4))),
+                       tuple(draw(st.lists(_TEXT, max_size=4))))
+            for j in range(draw(st.integers(0, 5)))))
+        for i in range(draw(st.integers(1, 4)))]
+    docs = [tokenize(draw(_TEXT)) + ["x"] for _ in range(draw(st.integers(1, 5)))]
+    vocab = build_vocab(docs, max_size=draw(st.integers(4, 12)), min_frequency=1)
+    shape = TextShape(l_msg=draw(st.integers(1, 12)), l_code=draw(st.integers(1, 20)),
+                      files=draw(st.integers(1, 4)))
+    return commits, vocab, shape
+
+
+class TestEncodingAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(case=encoding_cases())
+    def test_hypothesis_commits(self, case):
+        assert_encodes_like_reference(*case)
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=encoding_cases())
+    def test_loaded_vocabulary(self, case, tmp_path_factory):
+        commits, vocab, shape = case
+        path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+        save_vocab(path, vocab)
+        assert_encodes_like_reference(commits, load_vocab(path, min_frequency=1), shape)
+
+    def test_headers_in_a_loaded_body_keep_their_reserved_ids(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("#0\t<pad>\n#1\t<unk>\n#2\tAdded:\n#3\tRemoved:\n"
+                        "x\nAdded:\nRemoved:\n", encoding="utf-8")
+        vocab = load_vocab(path)
+        assert vocab.token_to_id["Added:"] == 5
+        assert vocab.lookup(ADDED_HEADER) == ADDED_ID
+        assert vocab.lookup(REMOVED_HEADER) == REMOVED_ID
+        commit = CommitRecord("c", 1, "a", "x y", (FileChange("p", ("x",), ("q",)),))
+        assert_encodes_like_reference([commit], vocab, TextShape(l_msg=3, l_code=6, files=2))
+
+    def test_acceptance_corpus(self, acceptance_corpus):
+        corpus = acceptance_corpus
+        train = corpus[:1500]
+        docs = [tokenize(c.message) for c in train]
+        docs += [render_change_document(f) for c in train for f in c.files]
+        vocab = build_vocab(docs)
+        for shape in (MICRO_SHAPE, TextShape(l_msg=4, l_code=6, files=1)):
+            assert_encodes_like_reference(corpus, vocab, shape)
+
+
+class TestVocabRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(texts=st.lists(st.text(max_size=30), min_size=1, max_size=6),
+           max_size=st.integers(4, 40))
+    def test_save_load_keeps_every_id(self, texts, max_size, tmp_path_factory):
+        docs = [tokenize(t) + ["tok"] for t in texts]
+        vocab = build_vocab(docs, max_size=max_size, min_frequency=1)
+        path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+        save_vocab(path, vocab)
+        loaded = load_vocab(path, max_size=max_size, min_frequency=1)
+        assert loaded == vocab
+        assert loaded.table == vocab.table
