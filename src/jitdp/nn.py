@@ -15,6 +15,8 @@ batched layers carry a leading batch axis.
 from __future__ import annotations
 
 import hashlib
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,8 +246,26 @@ def dropout(x: np.ndarray, rate: float, training: bool, rng=None):
 # Adam
 # ---------------------------------------------------------------------------
 
+# Floats one pass of adam_step's loop updates. A block and its three work
+# rows stay in cache at full scale; a desk-size model is one block.
+_ADAM_BLOCK = 1 << 16
+
+
 @dataclass
 class AdamState:
+    """Step count and moments of Adam over flat vectors of parameters.
+
+    The first step packs the parameters that have gradients, in params
+    order, into `groups` of at most _ADAM_BLOCK floats; a larger parameter
+    is a group of its own, read straight from its gradient, so a step
+    copies no more than a block of gradients at a time. A desk-size model
+    is one group. Each group is (names, p, m, v) with flat parameter and
+    moment vectors;
+    the params dict is rebound to views of p, which `bound` keeps, and `m`
+    and `v` map each name to its views of the moments. `work` holds three
+    block-sized rows.
+    """
+
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -253,39 +273,103 @@ class AdamState:
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    names: tuple = ()
+    shapes: list = field(default_factory=list, repr=False)
+    bound: tuple = field(default=(), repr=False)
+    groups: list = field(default_factory=list, repr=False)
+    work: np.ndarray | None = field(default=None, repr=False)
+
+
+def _views(flat: np.ndarray, names, shapes) -> dict:
+    views, at = {}, 0
+    for name, shape in zip(names, shapes):
+        size = math.prod(shape)
+        views[name] = flat[at : at + size].reshape(shape)
+        at += size
+    return views
 
 
 def adam_step(state: AdamState, params: Params, grads: Params) -> None:
     """Standard bias-corrected Adam update, in place:
     m += (1 - beta1) * (g - m); v += (1 - beta2) * (g * g - v);
     p -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps),
-    in that operation order, through two work arrays per parameter."""
+    in that operation order, over each group's flat vectors in blocks of
+    _ADAM_BLOCK floats through the work rows.
+
+    Every parameter with a gradient is updated; later steps must pass
+    gradients for the same names and shapes as the first, and params must
+    still hold the views the first step bound. The whole step is checked
+    before anything changes, so a rejected step leaves the state and the
+    parameters as they were.
+    """
+    names = tuple(filter(grads.__contains__, params))
+    shapes = [grads[n].shape for n in names]
+    if not (state.groups and names == state.names and shapes == state.shapes
+            and all(map(operator.is_, map(params.__getitem__, names), state.bound))):
+        for name, shape in zip(names, shapes):
+            if shape != params[name].shape:
+                raise ValueError(f"gradient shape {shape} != parameter shape "
+                                 f"{params[name].shape} for '{name}'")
+        if state.groups:
+            raise ValueError("adam_step needs the parameters of its first step")
+    if state.groups:
+        packing = [(group, len(p)) for group, p, _, _ in state.groups]
+        work = state.work
+    else:
+        packing = []
+        for name, shape in zip(names, shapes):
+            size = math.prod(shape)
+            if packing and packing[-1][1] + size <= _ADAM_BLOCK:
+                packing[-1] = (packing[-1][0] + [name], packing[-1][1] + size)
+            else:
+                packing.append(([name], size))
+        work = np.empty((3, min(_ADAM_BLOCK, sum(size for _, size in packing))))
+
+    def gradient(group, size):
+        if len(group) == 1:
+            return grads[group[0]].reshape(-1)
+        return np.concatenate([grads[n] for n in group], axis=None, out=work[2, :size])
+
+    for group, size in packing:
+        checked = gradient(group, size)
+        if not np.isfinite(checked).all():
+            bad = next(n for n in group if not np.isfinite(grads[n]).all())
+            raise FloatingPointError(f"non-finite gradient for '{bad}'")
+
+    if not state.groups:
+        for group, size in packing:
+            group_shapes = [params[n].shape for n in group]
+            p, m, v = np.empty(size), np.zeros(size), np.zeros(size)
+            for name, view in _views(p, group, group_shapes).items():
+                view[...] = params[name]
+                params[name] = view
+            state.m.update(_views(m, group, group_shapes))
+            state.v.update(_views(v, group, group_shapes))
+            state.groups.append((group, p, m, v))
+        state.names, state.shapes, state.work = names, shapes, work
+        state.bound = tuple(map(params.__getitem__, names))
     state.t += 1
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for '{name}'")
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient for '{name}'")
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
-        step, denom = np.empty_like(p), np.empty_like(p)
-        np.subtract(g, m, out=step)
-        step *= 1 - state.beta1
-        m += step
-        np.multiply(g, g, out=step)
-        step -= v
-        step *= 1 - state.beta2
-        v += step
-        np.divide(m, 1 - state.beta1**state.t, out=step)
-        np.divide(v, 1 - state.beta2**state.t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        step *= state.lr
-        step /= denom
-        p -= step
+    for group, p_all, m_all, v_all in state.groups:
+        # a lone group's gradient is still the one just checked
+        g_all = checked if len(state.groups) == 1 else gradient(group, len(p_all))
+        for lo in range(0, len(p_all), _ADAM_BLOCK):
+            hi = lo + _ADAM_BLOCK
+            g, p, m, v = g_all[lo:hi], p_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
+            step, denom = work[0, : len(g)], work[1, : len(g)]
+            np.subtract(g, m, out=step)
+            step *= 1 - state.beta1
+            m += step
+            np.multiply(g, g, out=step)
+            step -= v
+            step *= 1 - state.beta2
+            v += step
+            np.divide(m, 1 - state.beta1**state.t, out=step)
+            np.divide(v, 1 - state.beta2**state.t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += state.eps
+            step *= state.lr
+            step /= denom
+            p -= step
 
 
 # ---------------------------------------------------------------------------

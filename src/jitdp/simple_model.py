@@ -34,9 +34,6 @@ _PREDICT_BLOCK = 256
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 100
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
-    max_features: str = "sqrt"
 
 
 @dataclass(frozen=True)
@@ -87,89 +84,170 @@ class LinearModel:
     final_grad_norm: float = 0.0
 
 
-def _gini_split(values, labels, min_leaf):
-    """Best (cost, threshold) for one feature, or None when unsplittable."""
-    order = np.argsort(values, kind="mergesort")
-    sv = values[order]
-    sy = labels[order]
-    n = len(sv)
-    boundaries = sv[1:] != sv[:-1]
-    if not boundaries.any():
-        return None
-    cum_pos = np.cumsum(sy)
-    total_pos = cum_pos[-1]
-    left_n = np.arange(1, n, dtype=np.float64)
-    left_pos = cum_pos[:-1].astype(np.float64)
-    right_n = n - left_n
-    right_pos = total_pos - left_pos
+# Values one segmented split search scores, give or take one segment. It
+# bounds the work arrays of a growth step, which would otherwise grow with
+# rows x trees: scoring the 100 roots of the 744-row acceptance training
+# set in one call took the fit's traced memory peak from 8.4 to 15.9 MiB.
+_SPLIT_BLOCK = 16_384
+
+
+def _segment_splits(xt, ranks, y, rows, node_start, node_n, seg_node, seg_feat):
+    """Best split of each segment s: feature seg_feat[s] over the rows
+    rows[node_start[k] : node_start[k] + node_n[k]] of node k = seg_node[s].
+
+    Each segment is sorted by value rank, every boundary between distinct
+    values gets the Gini cost of the one-feature search, with the same
+    float expression, and the first minimum wins. Returns (cost, threshold,
+    left rows, left positives) per segment; cost is inf where the feature
+    takes one value only.
+    """
+    n = len(y)
+    seg_n = node_n[seg_node]
+    ends = np.cumsum(seg_n)
+    starts = ends - seg_n
+    seg = np.repeat(np.arange(len(seg_n)), seg_n)
+    row = rows[np.arange(ends[-1]) + np.repeat(node_start[seg_node] - starts, seg_n)]
+    cell = np.repeat(seg_feat * n, seg_n) + row
+    key = seg * n + ranks[cell]
+    # ties are equal values, whose order changes no cost and no threshold
+    order = np.argsort(key)
+    key = key[order]
+    cell = cell[order]
+    cum = np.zeros(len(key) + 1, dtype=np.int64)
+    np.cumsum(y[row[order]], out=cum[1:])
+    split = np.flatnonzero((key[1:] != key[:-1]) & (seg[1:] == seg[:-1]))
+    s = seg[split]
+    base = cum[starts]
+    n_seg = seg_n[s].astype(np.float64)
+    left_n = (split + 1 - starts[s]).astype(np.float64)
+    left_pos = (cum[split + 1] - base[s]).astype(np.float64)
+    right_n = n_seg - left_n
+    right_pos = (cum[ends] - base)[s] - left_pos
     gini_left = 1.0 - (left_pos / left_n) ** 2 - ((left_n - left_pos) / left_n) ** 2
     gini_right = 1.0 - (right_pos / right_n) ** 2 - ((right_n - right_pos) / right_n) ** 2
-    cost = (left_n * gini_left + right_n * gini_right) / n
-    valid = boundaries & (left_n >= min_leaf) & (right_n >= min_leaf)
-    if not valid.any():
-        return None
-    cost = np.where(valid, cost, np.inf)
-    i = int(np.argmin(cost))
-    thr = 0.5 * (sv[i] + sv[i + 1])
-    if thr >= sv[i + 1]:  # midpoint rounded up between adjacent floats
-        thr = sv[i]
-    return float(cost[i]), float(thr)
+    cost = (left_n * gini_left + right_n * gini_right) / n_seg
+
+    best = np.full(len(seg_n), np.inf)
+    thr = np.zeros(len(seg_n))
+    go_n = np.zeros(len(seg_n), dtype=np.int64)
+    go_pos = np.zeros(len(seg_n), dtype=np.int64)
+    counts = np.bincount(s, minlength=len(seg_n))
+    has = counts > 0
+    if has.any():
+        first = (np.cumsum(counts) - counts)[has]
+        best[has] = np.minimum.reduceat(cost, first)
+        at = np.minimum.reduceat(np.where(cost == best[s], split, len(key)), first)
+        lo, hi = xt[cell[at]], xt[cell[at + 1]]
+        mid = 0.5 * (lo + hi)
+        thr[has] = np.where(mid >= hi, lo, mid)  # midpoint rounded up to hi
+        go_n[has] = at + 1 - starts[has]
+        go_pos[has] = cum[at + 1] - base[has]
+    return best, thr, go_n, go_pos
 
 
-def _grow_tree(x, y, rng, config: ForestConfig):
-    n_features = x.shape[1]
-    if config.max_features == "sqrt":
-        n_consider = max(1, int(np.sqrt(n_features)))
-    else:
-        n_consider = n_features
-    nodes = []
+def _best_splits(xt, ranks, y, rows, node_start, node_n, seg_node, seg_feat):
+    """_segment_splits in calls of about _SPLIT_BLOCK values each."""
+    seg_n = node_n[seg_node]
+    chunk = (np.cumsum(seg_n) - seg_n) // _SPLIT_BLOCK
+    cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(seg_n)]
+    parts = [_segment_splits(xt, ranks, y, rows, node_start, node_n, seg_node[a:b], seg_feat[a:b])
+             for a, b in zip(cuts, cuts[1:])]
+    return [np.concatenate(col) for col in zip(*parts)]
 
-    def grow(idx, depth):
-        node_id = len(nodes)
-        nodes.append(None)
-        ys = y[idx]
-        n = len(idx)
-        n_pos = int(ys.sum())
-        p1 = n_pos / n
-        done = (
-            n_pos in (0, n)
-            or (config.max_depth is not None and depth >= config.max_depth)
-            or n < 2 * config.min_samples_leaf
-        )
-        best = None
-        if not done:
-            # scan a random feature order; stop once n_consider features are
-            # examined AND a valid split exists (features without a valid
-            # partition do not exhaust the budget, the cited default)
-            examined = 0
-            for f in rng.permutation(n_features):
-                split = _gini_split(x[idx, f], ys, config.min_samples_leaf)
-                examined += 1
-                if split is not None and (best is None or split[0] < best[0]):
-                    best = (split[0], int(f), split[1])
-                if examined >= n_consider and best is not None:
-                    break
-        if best is None:
-            nodes[node_id] = (_LEAF, 0.0, -1, -1, 1.0 - p1, p1)
-            return node_id
-        _, feat, thr = best
-        go_left = x[idx, feat] <= thr
-        if go_left.all() or not go_left.any():
-            nodes[node_id] = (_LEAF, 0.0, -1, -1, 1.0 - p1, p1)
-            return node_id
-        left = grow(idx[go_left], depth + 1)
-        right = grow(idx[~go_left], depth + 1)
-        nodes[node_id] = (feat, thr, left, right, 1.0 - p1, p1)
-        return node_id
 
-    grow(np.arange(len(y)), 0)
-    return tuple(nodes)
+def _grow_trees(xt, ranks, y, seeds) -> list:
+    """One tree per seed, all grown in lockstep.
+
+    Each step takes the next preorder node of every tree that has one and
+    searches the splits of all of them together. Tree by tree this is the
+    recursive grower: the rng seeded with the tree's seed draws its
+    bootstrap, then one feature permutation per impure node in preorder;
+    the first n_consider features of it compete, ties going to the earlier
+    one, and a node that none of them can split takes the first feature
+    after them that can split it.
+    """
+    n = len(y)
+    n_features = len(xt) // n
+    n_consider = max(1, int(np.sqrt(n_features)))
+    rngs = [np.random.default_rng(s) for s in seeds]
+    # each tree's node tuples laid end to end, six values a node
+    flats = [[] for _ in seeds]
+    # pending nodes, the next one last: (rows, positives, index in the flat
+    # list of the parent's child field, or -1 for the root)
+    stacks = []
+    for rng in rngs:
+        boot = rng.integers(0, n, size=n)
+        stacks.append([(boot, int(y[boot].sum()), -1)])
+    live = list(range(len(seeds)))
+    while live:
+        impure, perms = [], []
+        for t in live:
+            rows, n_pos, slot = stacks[t].pop()
+            flat = flats[t]
+            if slot >= 0:
+                flat[slot] = len(flat) // 6
+            p1 = n_pos / len(rows)
+            if n_pos not in (0, len(rows)):
+                impure.append((stacks[t], flat, len(flat), rows, n_pos))
+                perms.append(rngs[t].permutation(n_features))
+            flat += (_LEAF, 0.0, -1, -1, 1.0 - p1, p1)
+        if impure:
+            _split_nodes(xt, ranks, y, n_consider, impure, np.array(perms))
+        live = [t for t in live if stacks[t]]
+    return [tuple(zip(*[iter(flat)] * 6)) for flat in flats]
+
+
+def _split_nodes(xt, ranks, y, n_consider, impure, perm):
+    """Split the impure nodes of a step, given as (stack, flat, at, rows,
+    positives) with one feature permutation each: write feature and
+    threshold to flat[at:at + 2] and push the children onto the tree's
+    stack, the left one on top."""
+    n = len(y)
+    sizes = np.array([len(item[3]) for item in impure])
+    rows = np.concatenate([item[3] for item in impure])
+    starts = np.cumsum(sizes) - sizes
+    k, n_features = perm.shape
+    ids = np.arange(k)
+    cost, thr, go_n, go_pos = _best_splits(xt, ranks, y, rows, starts, sizes,
+                                           np.repeat(ids, n_consider), perm[:, :n_consider].ravel())
+    pick = cost.reshape(k, n_consider).argmin(axis=1)
+    at = ids * n_consider + pick
+    feat, thr, go_n, go_pos = perm[ids, pick], thr[at], go_n[at], go_pos[at]
+    ok = np.isfinite(cost[at])
+    late = np.flatnonzero(~ok)
+    rest = n_features - n_consider
+    if late.size and rest:
+        cost, late_thr, late_n, late_pos = _best_splits(xt, ranks, y, rows, starts, sizes,
+                                                        np.repeat(late, rest),
+                                                        perm[late, n_consider:].ravel())
+        found = np.isfinite(cost).reshape(len(late), rest)
+        pick = found.argmax(axis=1)
+        at = np.arange(len(late)) * rest + pick
+        feat[late] = perm[late, n_consider + pick]
+        thr[late], go_n[late], go_pos[late] = late_thr[at], late_n[at], late_pos[at]
+        ok[late] = found.any(axis=1)
+    # value <= threshold holds for exactly the go_n rows the search sent left
+    kept = np.repeat(ok, sizes)
+    go = xt[np.repeat(feat * n, sizes) + rows] <= np.repeat(thr, sizes)
+    left, right = rows[go & kept], rows[~go & kept]
+    stay_n = sizes - go_n
+    left_end = np.cumsum(np.where(ok, go_n, 0)).tolist()
+    right_end = np.cumsum(np.where(ok, stay_n, 0)).tolist()
+    feat, thr, go_n, go_pos, stay_n = (a.tolist() for a in (feat, thr, go_n, go_pos, stay_n))
+    # copies, so that a tree's pending rows stay disjoint subsets of its
+    # bootstrap rather than views keeping every step's arrays alive
+    for i in np.flatnonzero(ok).tolist():
+        stack, flat, at, _, n_pos = impure[i]
+        flat[at], flat[at + 1] = feat[i], thr[i]
+        stack.append((right[right_end[i] - stay_n[i] : right_end[i]].copy(), n_pos - go_pos[i], at + 3))
+        stack.append((left[left_end[i] - go_n[i] : left_end[i]].copy(), go_pos[i], at + 2))
 
 
 def train_forest(x, y, config: ForestConfig = ForestConfig(), seed: int = 0,
                  threads: int = 1) -> ForestModel:
     """Fit the ensemble; tree t uses its own rng seeded seed + t for both
-    the bootstrap draw and the per-node feature subsets."""
+    the bootstrap draw and the per-node feature subsets. With threads > 1,
+    each worker grows one contiguous group of the trees."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     classes, counts = np.unique(y, return_counts=True)
@@ -179,19 +257,19 @@ def train_forest(x, y, config: ForestConfig = ForestConfig(), seed: int = 0,
         raise ValueError("need at least 2 rows per class")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
-    n = len(y)
-
-    def fit_one(t):
-        rng = np.random.default_rng(seed + t)
-        idx = rng.integers(0, n, size=n)
-        return _grow_tree(x[idx], y[idx], rng, config)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = tuple(pool.map(fit_one, range(config.n_trees)))
+    xt = np.ascontiguousarray(x.T).ravel()
+    # per feature, each row's rank among the column's distinct values
+    ranks = np.concatenate([np.unique(col, return_inverse=True)[1] for col in x.T])
+    seeds = range(seed, seed + config.n_trees)
+    k = max(1, min(threads, config.n_trees))
+    groups = [seeds[i * len(seeds) // k : (i + 1) * len(seeds) // k] for i in range(k)]
+    if k > 1:
+        with ThreadPoolExecutor(max_workers=k) as pool:
+            grown = list(pool.map(lambda group: _grow_trees(xt, ranks, y, group), groups))
     else:
-        trees = tuple(fit_one(t) for t in range(config.n_trees))
-    return ForestModel(trees=trees, n_features=x.shape[1], seed=seed)
+        grown = [_grow_trees(xt, ranks, y, seeds)]
+    return ForestModel(trees=tuple(tree for group in grown for tree in group),
+                       n_features=x.shape[1], seed=seed)
 
 
 def forest_predict(model: ForestModel, x) -> float:

@@ -2,6 +2,7 @@
 oracles, gradients against central differences, Adam and dropout contracts,
 checkpoint container round-trip."""
 
+import copy
 import math
 
 import numpy as np
@@ -304,6 +305,78 @@ class TestAdam:
         for n in shapes:
             assert np.array_equal(params[n], ref[n]), n
         assert "frozen" not in state.m
+
+    def test_blocks_equal_textbook_update_bit_for_bit(self):
+        block = nn._ADAM_BLOCK
+        rng = np.random.default_rng(29)
+        # "a" and "b" fill one block exactly, "big" spans three blocks, the
+        # last one partial, "whole" is one block, "c" and "d" share one
+        shapes = {"a": (block - 12,), "b": (4, 3), "big": (2 * block + 7,), "whole": (block,),
+                  "c": (3,), "d": (5, 2)}
+        params = {n: rng.normal(size=s) for n, s in shapes.items()}
+        ref = {n: p.copy() for n, p in params.items()}
+        state = nn.AdamState(lr=0.01)
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        b1, b2, eps = state.beta1, state.beta2, state.eps
+        for t in range(1, 4):
+            grads = {n: rng.normal(size=s) for n, s in shapes.items()}
+            nn.adam_step(state, params, grads)
+            for n, g in grads.items():
+                m[n] += (1 - b1) * (g - m[n])
+                v[n] += (1 - b2) * (g * g - v[n])
+                ref[n] -= state.lr * (m[n] / (1 - b1**t)) / (np.sqrt(v[n] / (1 - b2**t)) + eps)
+        assert [group[0] for group in state.groups] == [["a", "b"], ["big"], ["whole"], ["c", "d"]]
+        for n in shapes:
+            assert np.array_equal(params[n], ref[n]), n
+            assert np.array_equal(state.m[n], m[n]) and np.array_equal(state.v[n], v[n]), n
+
+    def test_deepcopy_after_step_is_independent(self):
+        params = {"w": np.ones((2, 3)), "b": np.zeros(4)}
+        state = nn.AdamState(lr=0.1)
+        nn.adam_step(state, params, {"w": np.ones((2, 3)), "b": np.ones(4)})
+        best = copy.deepcopy(params)
+        snapshot = {n: p.copy() for n, p in best.items()}
+        nn.adam_step(state, params, {"w": np.ones((2, 3)), "b": np.ones(4)})
+        for n in params:
+            assert not np.shares_memory(best[n], params[n])
+            assert np.array_equal(best[n], snapshot[n])
+            assert not np.array_equal(params[n], snapshot[n])
+
+    @pytest.mark.parametrize("steps_before", [0, 2])
+    @pytest.mark.parametrize("bad, error, match", [
+        ({"b": np.array([1.0, np.inf, 0.0])}, FloatingPointError, "'b'"),
+        ({"b": np.zeros(2)}, ValueError, "'b'"),
+    ])
+    def test_rejected_step_changes_nothing(self, steps_before, bad, error, match):
+        rng = np.random.default_rng(31)
+        params = {"w": rng.normal(size=(2, 2)), "b": rng.normal(size=3)}
+        state = nn.AdamState(lr=0.1)
+        for _ in range(steps_before):
+            nn.adam_step(state, params, {n: rng.normal(size=p.shape) for n, p in params.items()})
+        before = {n: p.copy() for n, p in params.items()}
+        arrays = dict(params)
+        m, v = ({n: a.copy() for n, a in d.items()} for d in (state.m, state.v))
+        with pytest.raises(error, match=match):
+            nn.adam_step(state, params, {"w": np.ones((2, 2)), **bad})
+        assert state.t == steps_before
+        for n in params:
+            assert params[n] is arrays[n]
+            assert np.array_equal(params[n], before[n])
+        assert state.m.keys() == m.keys() and state.v.keys() == v.keys()
+        for n in m:
+            assert np.array_equal(state.m[n], m[n]) and np.array_equal(state.v[n], v[n])
+
+    @pytest.mark.parametrize("grads", [{"w": np.ones(2)}, {"w": np.ones(2), "b": np.ones(1)}])
+    def test_later_step_needs_the_first_steps_gradients(self, grads):
+        params = {"w": np.zeros(2), "b": np.zeros(3)}
+        state = nn.AdamState()
+        nn.adam_step(state, params, {"w": np.ones(2), "b": np.ones(3)})
+        if "b" in grads:
+            params["b"] = np.zeros(1)  # replaced, with a new shape
+        with pytest.raises(ValueError):
+            nn.adam_step(state, params, grads)
+        assert state.t == 1
 
     def test_shape_mismatch_rejected(self):
         state = nn.AdamState()

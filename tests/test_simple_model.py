@@ -1,11 +1,22 @@
 """Random forest and logistic baseline tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jitdp import simple_model
+from jitdp.corpus import (
+    SyntheticSpec,
+    chronological_split,
+    sort_chronologically,
+    synthesize_corpus,
+    undersample,
+)
 from jitdp.evaluation import roc_auc
+from jitdp.features import feature_matrix, featurize_corpus
 from jitdp.simple_model import (
     ADDED_LINES_MASK,
     ForestConfig,
@@ -73,6 +84,126 @@ class TestTrainForest:
         x[3, 2] = np.inf
         with pytest.raises(ValueError, match="finite"):
             train_forest(x, y)
+
+
+def _gini_split(values, labels):
+    """Oracle: best (cost, threshold) for one feature, or None when unsplittable."""
+    order = np.argsort(values, kind="mergesort")
+    sv = values[order]
+    sy = labels[order]
+    n = len(sv)
+    boundaries = sv[1:] != sv[:-1]
+    if not boundaries.any():
+        return None
+    cum_pos = np.cumsum(sy)
+    total_pos = cum_pos[-1]
+    left_n = np.arange(1, n, dtype=np.float64)
+    left_pos = cum_pos[:-1].astype(np.float64)
+    right_n = n - left_n
+    right_pos = total_pos - left_pos
+    gini_left = 1.0 - (left_pos / left_n) ** 2 - ((left_n - left_pos) / left_n) ** 2
+    gini_right = 1.0 - (right_pos / right_n) ** 2 - ((right_n - right_pos) / right_n) ** 2
+    cost = np.where(boundaries, (left_n * gini_left + right_n * gini_right) / n, np.inf)
+    i = int(np.argmin(cost))
+    thr = 0.5 * (sv[i] + sv[i + 1])
+    if thr >= sv[i + 1]:  # midpoint rounded up between adjacent floats
+        thr = sv[i]
+    return float(cost[i]), float(thr)
+
+
+def _grow_tree(x, y, rng):
+    """Oracle: one tree grown recursively, node by node, feature by feature."""
+    n_features = x.shape[1]
+    n_consider = max(1, int(np.sqrt(n_features)))
+    nodes = []
+
+    def grow(idx):
+        node_id = len(nodes)
+        nodes.append(None)
+        ys = y[idx]
+        n = len(idx)
+        n_pos = int(ys.sum())
+        p1 = n_pos / n
+        best = None
+        if n_pos not in (0, n):
+            # scan a random feature order; stop once n_consider features are
+            # examined AND a valid split exists
+            examined = 0
+            for f in rng.permutation(n_features):
+                split = _gini_split(x[idx, f], ys)
+                examined += 1
+                if split is not None and (best is None or split[0] < best[0]):
+                    best = (split[0], int(f), split[1])
+                if examined >= n_consider and best is not None:
+                    break
+        if best is None:
+            nodes[node_id] = (-1, 0.0, -1, -1, 1.0 - p1, p1)
+            return node_id
+        _, feat, thr = best
+        go_left = x[idx, feat] <= thr
+        assert go_left.any() and not go_left.all()
+        left = grow(idx[go_left])
+        right = grow(idx[~go_left])
+        nodes[node_id] = (feat, thr, left, right, 1.0 - p1, p1)
+        return node_id
+
+    grow(np.arange(len(y)))
+    return tuple(nodes)
+
+
+def _recursive_forest(x, y, n_trees, seed):
+    """Oracle: tree t bootstraps with, then grows from, the rng seeded seed + t."""
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng(seed + t)
+        idx = rng.integers(0, len(y), size=len(y))
+        trees.append(_grow_tree(x[idx], y[idx], rng))
+    return tuple(trees)
+
+
+class TestLockstepGrowth:
+    """train_forest's lockstep growth against the recursive grower."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(4, 600),
+           n_features=st.sampled_from([1, 2, 5, 14]), n_trees=st.integers(1, 6),
+           threads=st.sampled_from([1, 3]), block=st.sampled_from([1, 97, 16_384]))
+    def test_matches_recursive_grower(self, seed, n, n_features, n_trees, threads, block):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, n_features))
+        kind = rng.integers(0, 3, size=n_features)
+        x[:, kind == 1] = np.round(x[:, kind == 1])  # few values: ties
+        x[:, kind == 2] = 7.0  # constant: pushes the scan past n_consider
+        y = (x[:, 0] + rng.normal(size=n) > 0).astype(np.int64)
+        y[:4] = (0, 1, 0, 1)
+        with mock.patch.object(simple_model, "_SPLIT_BLOCK", block):
+            model = train_forest(x, y, ForestConfig(n_trees=n_trees), seed=seed, threads=threads)
+        assert model.trees == _recursive_forest(x, y, n_trees, seed)
+        assert [[tuple(map(type, node)) for node in tree] for tree in model.trees] == \
+            [[(int, float, int, int, float, float)] * len(tree) for tree in model.trees]
+
+    def test_only_constant_columns_but_one(self):
+        x = np.full((40, 14), 3.0)
+        x[:, 13] = np.arange(40) % 5
+        y = (x[:, 13] >= 2).astype(np.int64)
+        model = train_forest(x, y, ForestConfig(n_trees=8), seed=1)
+        assert model.trees == _recursive_forest(x, y, 8, 1)
+        assert {node[0] for tree in model.trees for node in tree} == {-1, 13}
+
+    def test_acceptance_training_rows(self):
+        """The forest of the acceptance run, on its undersampled train rows."""
+        corpus = synthesize_corpus(SyntheticSpec(size=2000, imbalance=3.0, feature_strength=0.5,
+                                                 text_strength=0.5, seed=11))
+        ordered = sort_chronologically(corpus)
+        split = chronological_split(corpus)
+        train_ids = [c.commit_id for c in ordered if c.commit_id in split.train_ids]
+        labels = {c.commit_id: c.label for c in ordered}
+        balanced = sorted(undersample(train_ids, labels, 5))
+        vectors = featurize_corpus(ordered)
+        x = feature_matrix(vectors[i] for i in balanced)
+        y = np.array([labels[i] for i in balanced])
+        model = train_forest(x, y, ForestConfig(n_trees=20), seed=5, threads=3)
+        assert model.trees == _recursive_forest(x, y, 20, 5)
 
 
 def _hand_model(leaf_probs):
