@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -73,9 +74,9 @@ def _parse_file_entry(obj, line_no: int, idx: int) -> FileChange:
             raise DataError(f"line {line_no}: files[{idx}] missing field '{key}'")
     added = obj["added_lines"]
     removed = obj["removed_lines"]
-    if not isinstance(added, list) or not all(isinstance(s, str) for s in added):
+    if not isinstance(added, list) or not all(map(isinstance, added, repeat(str))):
         raise DataError(f"line {line_no}: files[{idx}] field 'added_lines' must be an array of strings")
-    if not isinstance(removed, list) or not all(isinstance(s, str) for s in removed):
+    if not isinstance(removed, list) or not all(map(isinstance, removed, repeat(str))):
         raise DataError(f"line {line_no}: files[{idx}] field 'removed_lines' must be an array of strings")
     loc_before = obj["loc_before"]
     if type(loc_before) is not int or loc_before < 0:

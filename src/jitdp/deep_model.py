@@ -12,7 +12,7 @@ with per-epoch validation and best-mean checkpoint selection.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,14 +152,10 @@ def backward_batch(params: nn.Params, cache, d_logits) -> nn.Params:
     d_kept = d_rows[keep]
     if pad.any():
         d_kept[slot[pad.argmax()]] = d_rows[pad].sum(axis=0)
-    d_file_flat, file_grads = nn.textcnn_backward(params, cache["file"], d_kept)
+    grads["code_emb"], file_grads = nn.textcnn_backward(params, cache["file"], d_kept)
     grads.update(file_grads)
-    grads["code_emb"] = nn.embedding_backward(
-        d_file_flat, cache["file"]["ids"], params["code_emb"].shape[0])
-    d_msg, msg_grads = nn.textcnn_backward(params, cache["msg"], d_zm)
+    grads["msg_emb"], msg_grads = nn.textcnn_backward(params, cache["msg"], d_zm)
     grads.update(msg_grads)
-    grads["msg_emb"] = nn.embedding_backward(
-        d_msg, cache["msg"]["ids"], params["msg_emb"].shape[0])
     return grads
 
 
@@ -240,32 +236,6 @@ def train_deep(train_ds: DeepDataset, val_ds: DeepDataset, vocab_size: int,
             best_mean = entry.metric_mean
             best_params = copy.deepcopy(params)
     return best_params, log
-
-
-def grid_search(learning_rates, batch_sizes, train_ds, val_ds, vocab_size,
-                cfg: DeepConfig, seed: int = 0, strategy: str = "none"):
-    """Train one model per (lr, batch) cell; return (best_cfg, results).
-
-    results is a list of (lr, batch, metric_mean | None, error | None); the
-    winner maximizes the best-checkpoint validation metric mean, ties going
-    to the lower learning rate, then the smaller batch.
-    """
-    if not learning_rates or not batch_sizes:
-        raise ValueError("hyperparameter grids must be non-empty")
-    results = []
-    for lr in learning_rates:
-        for batch in batch_sizes:
-            cell_cfg = replace(cfg, lr=lr, batch_size=batch)
-            try:
-                _, log = train_deep(train_ds, val_ds, vocab_size, cell_cfg, seed, strategy)
-                results.append((lr, batch, max(e.metric_mean for e in log), None))
-            except TrainingError as exc:
-                results.append((lr, batch, None, str(exc)))
-    scored = [r for r in results if r[2] is not None]
-    if not scored:
-        raise TrainingError("every grid cell failed")
-    best = max(scored, key=lambda r: (r[2], -r[0], -r[1]))
-    return replace(cfg, lr=best[0], batch_size=best[1]), results
 
 
 TRAIN_LOG_HEADER = "epoch,train_loss,val_auc_roc,val_auc_pr,val_f1,metric_mean"

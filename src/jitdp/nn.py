@@ -47,10 +47,15 @@ def embedding_forward(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def embedding_backward(d_out: np.ndarray, ids: np.ndarray, vocab_size: int) -> np.ndarray:
-    # Bin id * d + c accumulates in token order, as np.add.at on rows would.
-    dim = d_out.shape[-1]
-    at = (ids.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
-    return np.bincount(at, weights=d_out.reshape(-1), minlength=vocab_size * dim).reshape(vocab_size, dim)
+    return _scatter_rows(d_out, ids, vocab_size)
+
+
+def _scatter_rows(values: np.ndarray, at: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, d) sums of the d-vectors of values by their row index in at.
+    Bin at * d + c accumulates in entry order, as np.add.at on rows would."""
+    dim = values.shape[-1]
+    flat = (at.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
+    return np.bincount(flat, weights=values.reshape(-1), minlength=n_rows * dim).reshape(n_rows, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +68,28 @@ def embedding_backward(d_out: np.ndarray, ids: np.ndarray, vocab_size: int) -> n
 # each tap j's response at each position; the pre-activation of the window
 # starting at p is the sum over j of tap j's response at p + j. Max-pooling
 # keeps one window per filter, so the backward pass touches only those:
-# dW gathers the k input rows of each argmax window, and d_x scatters
-# d_pre * w[:, j] to positions arg + j with one np.bincount.
+# dW gathers the k input rows of each argmax window, and the input gradient
+# scatters d_pre * w[:, j] to positions arg + j with one np.bincount.
+#
+# Token-id input (B, L) keeps the ids, not embedded vectors, in the cache,
+# and its backward pass returns the gradient of the embedding table itself,
+# summed from the argmax windows alone. A row's real length r is its last
+# non-zero id + 1. Every window past r is all padding and has the same
+# pre-activation, so the first-occurrence argmax never picks one after the
+# first, at r. A batch of more than _TEXTCNN_BLOCK tap-matrix elements is
+# sorted by r into buckets of at most that many, and each bucket embeds
+# only the prefix min(L, longest r in the bucket + widest window, rounded up
+# to 8 tokens), which still holds that first all-padding window. A batch
+# that fits one bucket is embedded whole, in its order: at one-commit sizes
+# finding r costs more numpy calls than the trimmed positions save. Id input
+# shorter than the widest window is pooled as vectors, zero extension
+# included.
 # ---------------------------------------------------------------------------
+
+# Tap-matrix elements (filter taps x token positions) of one bucket of
+# token-id rows. A bucket's taps stay in cache at full scale; a desk-size
+# batch is one bucket.
+_TEXTCNN_BLOCK = 1 << 20
 
 
 def textcnn_init(rng, prefix: str, d_in: int, windows, filters_total: int) -> Params:
@@ -83,28 +107,17 @@ def textcnn_output_dim(params: Params, prefix: str) -> int:
     return sum(v.shape[0] for n, v in params.items() if n.startswith(f"{prefix}.w"))
 
 
-def textcnn_forward(params: Params, prefix: str, x: np.ndarray,
-                    embedding: np.ndarray | None = None):
-    """x is either (B, L) int token ids (embedding required) or (B, L, d_in)
-    vectors. Returns (z, cache) with z of shape (B, total filters).
-    Sequences shorter than the largest window are zero-extended."""
-    ids = None
-    if x.ndim == 2 and np.issubdtype(x.dtype, np.integer):
-        if embedding is None:
-            raise ValueError("token-id input needs an embedding table")
-        ids = x
-        x = embedding_forward(embedding, ids)
-    windows = sorted(int(n.rsplit(".w", 1)[1]) for n in params if n.startswith(f"{prefix}.w"))
-    orig_len = x.shape[1]
-    if orig_len < max(windows):
-        pad = np.zeros((x.shape[0], max(windows) - orig_len, x.shape[2]))
-        x = np.concatenate([x, pad], axis=1)
+def _pool(taps_w, banks, x):
+    """Per bank, (k, arg, pre_at_max) with arg and pre_at_max (B, n_k), of
+    vectors x (B, L, d_in) zero-extended to the widest window; also returns
+    the extended x."""
+    widest = banks[-1][0]
+    if x.shape[1] < widest:
+        x = np.concatenate([x, np.zeros((x.shape[0], widest - x.shape[1], x.shape[2]))], axis=1)
     batch, length, d_in = x.shape
-    banks = [(k, params[f"{prefix}.w{k}"], params[f"{prefix}.b{k}"]) for k in windows]
     # taps[row of (bank, j, f), b * length + t] = w_k[f, j] . x[b, t]
-    taps = np.concatenate([w.transpose(1, 0, 2).reshape(-1, d_in) for _, w, _ in banks]) \
-        @ x.reshape(batch * length, d_in).T
-    outs, caches = [], []
+    taps = taps_w @ x.reshape(batch * length, d_in).T
+    pooled = []
     row = 0
     for k, w, bias in banks:
         n_k = w.shape[0]
@@ -115,26 +128,73 @@ def textcnn_forward(params: Params, prefix: str, x: np.ndarray,
         for j in range(1, k):
             pre += tap[j, :, :, j : j + positions]
         arg = pre.argmax(axis=2)
-        pre_at_max = np.take_along_axis(pre, arg[:, :, None], axis=2)[:, :, 0].T  # (B, n_k)
-        outs.append(relu(pre_at_max))
-        caches.append((k, arg.T, pre_at_max))
-    z = np.concatenate(outs, axis=1)
-    cache = {"x": x, "ids": ids, "orig_len": orig_len, "banks": caches, "prefix": prefix}
+        pooled.append((k, arg.T, np.take_along_axis(pre, arg[:, :, None], axis=2)[:, :, 0].T))
+    return pooled, x
+
+
+def _pool_ids(taps_w, banks, ids, table):
+    """_pool of table[ids]; a batch too large for one bucket is pooled
+    bucket by bucket, each over its prefix."""
+    batch, length = ids.shape
+    cap = _TEXTCNN_BLOCK // len(taps_w)  # token positions of one bucket
+    if batch * length <= cap:
+        return _pool(taps_w, banks, embedding_forward(table, ids))[0]
+    real = np.where(ids != 0, np.arange(1, length + 1), 0).max(axis=1)
+    order = np.argsort(real, kind="stable")
+    # Through the first all-padding window, rounded up to whole 8-column
+    # tiles of the tap GEMM: OpenBLAS sums an edge tile in another order,
+    # which would move last bits against a full-length pass.
+    prefixes = np.minimum(-(-(real[order] + banks[-1][0]) // 8) * 8, length)
+    parts, start = [], 0
+    while start < batch:
+        # rows start..stop-1 cost (stop - start) * prefixes[stop - 1] positions
+        fits = np.searchsorted(np.arange(1, batch - start + 1) * prefixes[start:], cap, "right")
+        stop = start + max(1, int(fits))
+        rows = order[start:stop]
+        parts.append(_pool(taps_w, banks, embedding_forward(table, ids[rows, : prefixes[stop - 1]]))[0])
+        start = stop
+    back = np.argsort(order)
+    return [(k, *(np.concatenate([part[i][j] for part in parts])[back] for j in (1, 2)))
+            for i, (k, _, _) in enumerate(banks)]
+
+
+def textcnn_forward(params: Params, prefix: str, x: np.ndarray,
+                    embedding: np.ndarray | None = None):
+    """x is either (B, L) int token ids (embedding required) or (B, L, d_in)
+    vectors. Returns (z, cache) with z of shape (B, total filters).
+    Sequences shorter than the largest window are zero-extended."""
+    windows = sorted(int(n.rsplit(".w", 1)[1]) for n in params if n.startswith(f"{prefix}.w"))
+    banks = [(k, params[f"{prefix}.w{k}"], params[f"{prefix}.b{k}"]) for k in windows]
+    taps_w = np.concatenate([w.transpose(1, 0, 2).reshape(-1, w.shape[2]) for _, w, _ in banks])
+    ids = None
+    orig_len = x.shape[1]
+    if x.ndim == 2 and np.issubdtype(x.dtype, np.integer):
+        if embedding is None:
+            raise ValueError("token-id input needs an embedding table")
+        ids = x
+        if orig_len < windows[-1]:
+            x = embedding_forward(embedding, ids)
+    if x is ids:
+        pooled, x = _pool_ids(taps_w, banks, ids, embedding), None
+    else:
+        pooled, x = _pool(taps_w, banks, x)
+    z = np.concatenate([relu(at_max) for _, _, at_max in pooled], axis=1)
+    cache = {"x": x, "ids": ids, "embedding": embedding, "orig_len": orig_len, "prefix": prefix,
+             "banks": pooled}
     return z, cache
 
 
 def textcnn_backward(params: Params, cache, d_z: np.ndarray):
-    """Returns (d_x, grads) where d_x is the gradient w.r.t. the input
-    vector sequence (the embedded tokens, for token-id input), trimmed to
-    the original length. Callers with id input fold d_x into the embedding
-    table via embedding_backward with cache['ids']."""
-    x = cache["x"]
+    """Returns (d_input, grads). For vector input d_input is the gradient
+    w.r.t. the input vectors, trimmed to the original length; for token-id
+    input it is the gradient w.r.t. the embedding table, the same bits as
+    embedding_backward of the dense gradient w.r.t. the embedded tokens."""
+    x, ids, table = cache["x"], cache["ids"], cache["embedding"]
     prefix = cache["prefix"]
-    batch, length, d_in = x.shape
+    batch, length = ids.shape if x is None else x.shape[:2]
     grads = {}
     col = 0
     rows = np.arange(batch)[:, None, None]
-    channels = np.arange(d_in)
     scatter_at, scatter_val = [], []
     for k, arg, pre_at_max in cache["banks"]:
         w = params[f"{prefix}.w{k}"]
@@ -142,13 +202,22 @@ def textcnn_backward(params: Params, cache, d_z: np.ndarray):
         d_pre = d_z[:, col : col + n_k] * (pre_at_max > 0)  # (B, n_k)
         col += n_k
         at = arg[:, :, None] + np.arange(k)  # (B, n_k, k) positions of the argmax windows
-        grads[f"{prefix}.w{k}"] = np.einsum("bf,bfjc->fjc", d_pre, x[rows, at])
+        windows = table[ids[rows, at]] if x is None else x[rows, at]
+        grads[f"{prefix}.w{k}"] = np.einsum("bf,bfjc->fjc", d_pre, windows)
         grads[f"{prefix}.b{k}"] = d_pre.sum(axis=0)
-        scatter_at.append((((rows * length + at) * d_in)[..., None] + channels).reshape(-1))
-        scatter_val.append((d_pre[:, :, None, None] * w).reshape(-1))
-    d_x = np.bincount(np.concatenate(scatter_at), weights=np.concatenate(scatter_val),
-                      minlength=x.size).reshape(x.shape)
-    return d_x[:, : cache["orig_len"], :], grads
+        scatter_at.append((rows * length + at).reshape(-1))
+        scatter_val.append((d_pre[:, :, None, None] * w).reshape(-1, w.shape[2]))
+    at, values = np.concatenate(scatter_at), np.concatenate(scatter_val)
+    if x is None:
+        # Sum per window position in entry order, then per token id in
+        # position order: embedding_backward's additions, zeros left out.
+        touched, at = np.unique(at, return_inverse=True)
+        d_windows = _scatter_rows(values, at, len(touched))
+        return _scatter_rows(d_windows, ids.reshape(-1)[touched], len(table)), grads
+    d_x = _scatter_rows(values, at, batch * length).reshape(x.shape)[:, : cache["orig_len"]]
+    if ids is not None:
+        return _scatter_rows(d_x, ids, len(table)), grads
+    return d_x, grads
 
 
 # ---------------------------------------------------------------------------

@@ -164,12 +164,12 @@ class _Provenance:
 
 
 def _train_documents(commits):
-    docs = []
+    """Each commit's message tokens, then its change documents, one at a
+    time, so the vocabulary counter never holds them all."""
     for c in commits:
-        docs.append(tokenize(c.message))
+        yield tokenize(c.message)
         for f in c.files:
-            docs.append(render_change_document(f))
-    return docs
+            yield render_change_document(f)
 
 
 def _dataset(commits, vocab: Vocab, shape: TextShape, x_cat, x_cont):

@@ -1,5 +1,5 @@
 """Deep model tests: forward values against a scalar-loop oracle, training
-behavior on planted-signal corpora, checkpoint selection, grid search."""
+behavior on planted-signal corpora, checkpoint selection."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from jitdp.deep_model import (
     build_dataset,
     com_forward,
     forward_batch,
-    grid_search,
     init_deep_params,
     score_dataset,
     train_deep,
@@ -216,47 +215,6 @@ class TestTrainDeep:
         doubled, _ = cross_entropy_batch(probs, labels, (1.0, 4.0))
         only_defective, _ = cross_entropy_batch(probs, labels, (0.0, 2.0))
         assert doubled - base == pytest.approx(only_defective, abs=1e-12)
-
-
-class TestGridSearch:
-    def _tiny(self):
-        return _datasets(SyntheticSpec(size=150, text_strength=1.0, seed=3))
-
-    def test_singleton_grids_return_that_combination(self):
-        train, val, _, vocab = self._tiny()
-        cfg = DeepConfig(embed_dim=4, filters=4, hidden=8, epochs=2, dropout=0.0)
-        best, results = grid_search([1e-3], [16], train, val, len(vocab), cfg, seed=1)
-        assert (best.lr, best.batch_size) == (1e-3, 16)
-        assert len(results) == 1
-
-    def test_full_grid_runs_all_sixteen_cells(self):
-        train, val, _, vocab = self._tiny()
-        cfg = DeepConfig(embed_dim=4, filters=2, hidden=4, epochs=1, dropout=0.0)
-        lrs = [1e-5, 5e-5, 1e-4, 2e-4]
-        batches = [16, 32, 64, 128]
-        best, results = grid_search(lrs, batches, train, val, len(vocab), cfg, seed=1)
-        assert len(results) == 16
-        assert {(r[0], r[1]) for r in results} == {(l, b) for l in lrs for b in batches}
-        assert all(r[2] is not None for r in results)
-
-    def test_tie_breaks_to_lower_learning_rate(self):
-        train, val, _, vocab = self._tiny()
-        cfg = DeepConfig(embed_dim=4, filters=2, hidden=4, epochs=1, dropout=0.0)
-        # duplicate cells force exact ties
-        best, _ = grid_search([2e-3, 1e-3], [16], train, val, len(vocab),
-                              cfg, seed=1, strategy="none")
-        # rerun each cell alone to find the true scores, then assert rule
-        s_hi, _ = grid_search([2e-3], [16], train, val, len(vocab), cfg, seed=1)
-        s_lo, _ = grid_search([1e-3], [16], train, val, len(vocab), cfg, seed=1)
-        _, r_hi = grid_search([2e-3], [16], train, val, len(vocab), cfg, seed=1)
-        _, r_lo = grid_search([1e-3], [16], train, val, len(vocab), cfg, seed=1)
-        if r_hi[0][2] == r_lo[0][2]:
-            assert best.lr == 1e-3
-
-    def test_empty_grid_rejected(self):
-        train, val, _, vocab = self._tiny()
-        with pytest.raises(ValueError):
-            grid_search([], [16], train, val, len(vocab), MICRO_CONFIG)
 
 
 class TestTrainLogFile:

@@ -4,6 +4,7 @@ checkpoint container round-trip."""
 
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -161,19 +162,24 @@ class TestTextCnnBackward:
             x = rng.normal(size=(3, 4, d_in) if case == "vectors" else (2, 2, d_in))
             z, cache = nn.textcnn_forward(params, "t", x)
         d_z = rng.normal(size=z.shape)
-        d_x, grads = nn.textcnn_backward(params, cache, d_z)
+        d_input, grads = nn.textcnn_backward(params, cache, d_z)
         d_x_ref, grads_ref = scalar_loop_textcnn_backward(params, "t", x, d_z)
-        assert d_x.shape == x.shape
-        assert np.allclose(d_x, d_x_ref, atol=1e-12)
-        assert sorted(grads) == sorted(grads_ref)
-        for name in grads:
-            assert np.allclose(grads[name], grads_ref[name], atol=1e-12), name
         if case == "ids":
+            # token-id input returns the gradient of the table: the oracle's
+            # input gradient folded onto the ids
             emb_ref = np.zeros_like(emb)
             for r in range(ids.shape[0]):
                 for t in range(ids.shape[1]):
                     emb_ref[ids[r, t]] += d_x_ref[r, t]
-            assert np.allclose(nn.embedding_backward(d_x, ids, 10), emb_ref, atol=1e-12)
+            assert d_input.shape == emb.shape
+            assert np.allclose(d_input, emb_ref, atol=1e-12)
+            assert np.allclose(nn.embedding_backward(d_x_ref, ids, 10), emb_ref, atol=1e-12)
+        else:
+            assert d_input.shape == x.shape
+            assert np.allclose(d_input, d_x_ref, atol=1e-12)
+        assert sorted(grads) == sorted(grads_ref)
+        for name in grads:
+            assert np.allclose(grads[name], grads_ref[name], atol=1e-12), name
 
     def test_embedding_backward_matches_add_at_bit_for_bit(self):
         rng = np.random.default_rng(22)
@@ -182,6 +188,89 @@ class TestTextCnnBackward:
         ref = np.zeros((5, 3))
         np.add.at(ref, ids.reshape(-1), d_out.reshape(-1, 3))
         assert np.array_equal(nn.embedding_backward(d_out, ids, 5), ref)
+
+
+@st.composite
+def id_batches(draw):
+    """(B, L) token ids with padding tails, interior zeros and all-padding
+    rows, at lengths below, at and one past the widest window (3)."""
+    length = draw(st.sampled_from([1, 2, 3, 4, 7, 12]))
+    batch = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(batch):
+        real = draw(st.integers(0, length))
+        rows.append(draw(st.lists(st.integers(0, 9), min_size=real, max_size=real))
+                    + [0] * (length - real))
+    return np.array(rows, dtype=np.int64)
+
+
+def _id_path_against_vectors(ids, block, params, emb, d_z_seed=0):
+    """Run the id path (with _TEXTCNN_BLOCK = block) and the vector path on
+    emb[ids]; assert the id path's contract against the vector path and
+    return the id path's cache."""
+    with mock.patch.object(nn, "_TEXTCNN_BLOCK", block):
+        z, cache = nn.textcnn_forward(params, "t", ids, embedding=emb)
+    z_ref, cache_ref = nn.textcnn_forward(params, "t", emb[ids])
+    for (k, arg, _), (_, arg_ref, _) in zip(cache["banks"], cache_ref["banks"]):
+        assert np.array_equal(arg, arg_ref), k
+    np.testing.assert_allclose(z, z_ref, rtol=1e-15, atol=1e-15)
+    d_z = np.random.default_rng(d_z_seed).normal(size=z.shape)
+    d_table, grads = nn.textcnn_backward(params, cache, d_z)
+    d_x, grads_ref = nn.textcnn_backward(params, cache_ref, d_z)
+    assert np.array_equal(d_table, nn.embedding_backward(d_x, ids, len(emb)))
+    assert sorted(grads) == sorted(grads_ref)
+    for name in grads:
+        assert np.array_equal(grads[name], grads_ref[name]), name
+    return cache
+
+
+class TestTextCnnIdPath:
+    """A token-id batch larger than one bucket embeds only each bucket's
+    prefix, and every id batch returns the table gradient; both must match
+    the vector path on the embedded ids."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ids=id_batches(), block=st.sampled_from([1, 150, 400, 1 << 20]),
+           seed=st.integers(0, 1000))
+    def test_matches_vector_path(self, ids, block, seed):
+        rng = np.random.default_rng(seed)
+        params = nn.textcnn_init(rng, "t", 4, (1, 2, 3), 7)
+        for k in (1, 2, 3):
+            params[f"t.b{k}"] = rng.normal(scale=0.3, size=params[f"t.b{k}"].shape)
+        _id_path_against_vectors(ids, block, params, rng.normal(size=(10, 4)), seed)
+
+    @pytest.mark.parametrize("block", [1, 150, 1 << 20])
+    def test_padding_window_wins_at_real_length(self, block):
+        # positive filters, a positive PAD vector and negative tokens: every
+        # filter's maximum is an all-padding window, the first at row length
+        rng = np.random.default_rng(31)
+        params = nn.textcnn_init(rng, "t", 4, (1, 2, 3), 9)
+        params = {n: np.abs(v) for n, v in params.items()}
+        emb = -np.abs(rng.normal(size=(10, 4)))
+        emb[0] = 1.0
+        real = np.array([0, 1, 5, 9, 12, 3, 17])
+        ids = np.zeros((len(real), 20), dtype=np.int64)
+        for r, n in enumerate(real):
+            ids[r, :n] = rng.integers(1, 10, size=n)
+        cache = _id_path_against_vectors(ids, block, params, emb)
+        for k, arg, _ in cache["banks"]:
+            assert np.array_equal(arg, np.repeat(real[:, None], arg.shape[1], axis=1)), k
+
+    def test_small_block_forms_many_buckets(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        params = nn.textcnn_init(rng, "t", 3, (1, 2, 3), 5)
+        emb = rng.normal(size=(20, 3))
+        ids = rng.integers(1, 20, size=(9, 30))
+        for r, n in enumerate(rng.integers(0, 31, size=9)):
+            ids[r, n:] = 0
+        taps = sum(w.shape[0] * w.shape[1] for n, w in params.items() if ".w" in n)
+        embedded = []
+        monkeypatch.setattr(nn, "embedding_forward",
+                            lambda table, part: embedded.append(part.shape) or table[part])
+        _id_path_against_vectors(ids, taps * 40, params, emb)
+        assert len(embedded) > 3
+        assert sum(rows for rows, _ in embedded) == len(ids)
+        assert all(rows == 1 or rows * length <= 40 for rows, length in embedded)
 
 
 class TestClassifier:
