@@ -1,5 +1,5 @@
 """Summarize perfbench result records of two program versions into one
-BENCH_<n>.json, so the benchmark trajectory can be diffed from PR to PR.
+BENCH_<n>.json, so the benchmark trajectory can be diffed from change to change.
 
 Each `python3 perfbench/run.py` run writes its record to
 `.perfbench-work/results/<workload>-seed<N>-trace<T>.json` and the next run
