@@ -63,33 +63,43 @@ def _scatter_rows(values: np.ndarray, at: np.ndarray, n_rows: int) -> np.ndarray
 # sequence; each filter's ReLU response is max-pooled over positions and the
 # pooled features of all banks are concatenated.
 #
-# No window (im2col) buffer is built. Forward runs one GEMM over every
-# filter tap of every bank, W (sum of k*n_k, d_in) @ x^T (d_in, B*L), giving
-# each tap j's response at each position; the pre-activation of the window
-# starting at p is the sum over j of tap j's response at p + j. Max-pooling
-# keeps one window per filter, so the backward pass touches only those:
-# dW gathers the k input rows of each argmax window, and the input gradient
-# scatters d_pre * w[:, j] to positions arg + j with one np.bincount.
+# M models that read the same sequence run as one textCNN in channel blocks
+# (grouped convolution): model m owns block m of the input channels, of
+# each bank's last axis (n_k, k, M * d_in), of the biases (M * n_k) and of
+# the output (B, M * filters), which holds each model's banks in order. M is
+# the biases' size over the filter count; one model is M = 1.
+#
+# No window (im2col) buffer is built. Forward runs one GEMM per model over
+# every filter tap of every bank, W_m (sum of k*n_k, d_in) @ x_m^T (d_in,
+# B*L) with x_m the model's channel block, all M in one batched matmul,
+# giving each tap j's response at each position; the pre-activation of the
+# window starting at p is the sum over j of tap j's response at p + j.
+# Max-pooling keeps one window per filter, so the backward pass touches only
+# those: dW gathers the k input rows of each argmax window, and the input
+# gradient scatters d_pre * w[:, j] to positions arg + j with one
+# np.bincount. Every sum runs over one model's block in the order a lone
+# model's would, so each model gets a lone model's bits.
 #
 # Token-id input (B, L) keeps the ids, not embedded vectors, in the cache,
 # and its backward pass returns the gradient of the embedding table itself,
 # summed from the argmax windows alone. A row's real length r is its last
 # non-zero id + 1. Every window past r is all padding and has the same
 # pre-activation, so the first-occurrence argmax never picks one after the
-# first, at r. A batch of more than _TEXTCNN_BLOCK tap-matrix elements is
-# sorted by r into buckets of at most that many, and each bucket embeds
-# only the prefix min(L, longest r in the bucket + widest window, rounded up
-# to 8 tokens), which still holds that first all-padding window. A batch
-# that fits one bucket is embedded whole, in its order: at one-commit sizes
-# finding r costs more numpy calls than the trimmed positions save. Id input
-# shorter than the widest window is pooled as vectors, zero extension
-# included.
+# first, at r. A batch of more than _TEXTCNN_BLOCK tap-matrix elements, the
+# taps of all M models counted, is sorted by r into buckets of at most that
+# many, and each bucket embeds only the prefix min(L, longest r in the
+# bucket + widest window, rounded up to 8 tokens), which still holds that
+# first all-padding window. A batch that fits one bucket is embedded whole,
+# in its order: at one-commit sizes finding r costs more numpy calls than
+# the trimmed positions save. Id input shorter than the widest window is
+# pooled as vectors, zero extension included.
 # ---------------------------------------------------------------------------
 
-# Tap-matrix elements (filter taps x token positions) of one bucket of
-# token-id rows. A bucket's taps stay in cache at full scale; a desk-size
-# batch is one bucket.
-_TEXTCNN_BLOCK = 1 << 20
+# Tap-matrix elements (filter taps x token positions, all models) of one
+# bucket of token-id rows: 4 MiB of taps, about what a one-model desk
+# scoring batch of 256 commits holds. A desk training step of five models,
+# a full-scale message batch and a one-commit call are each one bucket.
+_TEXTCNN_BLOCK = 1 << 19
 
 
 def textcnn_init(rng, prefix: str, d_in: int, windows, filters_total: int) -> Params:
@@ -103,32 +113,31 @@ def textcnn_init(rng, prefix: str, d_in: int, windows, filters_total: int) -> Pa
     return params
 
 
-def textcnn_output_dim(params: Params, prefix: str) -> int:
-    return sum(v.shape[0] for n, v in params.items() if n.startswith(f"{prefix}.w"))
-
-
 def _pool(taps_w, banks, x):
-    """Per bank, (k, arg, pre_at_max) with arg and pre_at_max (B, n_k), of
-    vectors x (B, L, d_in) zero-extended to the widest window; also returns
-    the extended x."""
+    """Per bank, (k, arg, pre_at_max) with arg (B, M * n_k) and pre_at_max
+    (B, M, n_k), of vectors x (B, L, M * d_in) zero-extended to the widest
+    window; also returns the extended x. taps_w is (M, taps, d_in)."""
     widest = banks[-1][0]
     if x.shape[1] < widest:
         x = np.concatenate([x, np.zeros((x.shape[0], widest - x.shape[1], x.shape[2]))], axis=1)
-    batch, length, d_in = x.shape
-    # taps[row of (bank, j, f), b * length + t] = w_k[f, j] . x[b, t]
-    taps = taps_w @ x.reshape(batch * length, d_in).T
+    batch, length = x.shape[:2]
+    models = len(taps_w)
+    # taps[m, row of (bank, j, f), b * length + t] = w_k[f, j] . x[b, t] in block m
+    taps = taps_w @ x.reshape(batch * length, models, -1).transpose(1, 2, 0)
     pooled = []
     row = 0
     for k, w, bias in banks:
         n_k = w.shape[0]
-        tap = taps[row : row + k * n_k].reshape(k, n_k, batch, length)
+        tap = taps[:, row : row + k * n_k].reshape(models, k, n_k, batch, length)
         row += k * n_k
         positions = length - k + 1
-        pre = tap[0, :, :, :positions] + bias[:, None, None]  # (n_k, B, P)
+        pre = tap[:, 0, :, :, :positions] + bias.reshape(models, n_k, 1, 1)  # (M, n_k, B, P)
         for j in range(1, k):
-            pre += tap[j, :, :, j : j + positions]
-        arg = pre.argmax(axis=2)
-        pooled.append((k, arg.T, np.take_along_axis(pre, arg[:, :, None], axis=2)[:, :, 0].T))
+            pre += tap[:, j, :, :, j : j + positions]
+        arg = pre.argmax(axis=3).reshape(-1)
+        at_max = pre.reshape(-1, positions)[np.arange(len(arg)), arg]  # one flat gather
+        pooled.append((k, arg.reshape(-1, batch).T,
+                       at_max.reshape(models, n_k, batch).transpose(2, 0, 1)))
     return pooled, x
 
 
@@ -136,7 +145,7 @@ def _pool_ids(taps_w, banks, ids, table):
     """_pool of table[ids]; a batch too large for one bucket is pooled
     bucket by bucket, each over its prefix."""
     batch, length = ids.shape
-    cap = _TEXTCNN_BLOCK // len(taps_w)  # token positions of one bucket
+    cap = _TEXTCNN_BLOCK // (taps_w.shape[0] * taps_w.shape[1])  # token positions of one bucket
     if batch * length <= cap:
         return _pool(taps_w, banks, embedding_forward(table, ids))[0]
     real = np.where(ids != 0, np.arange(1, length + 1), 0).max(axis=1)
@@ -160,12 +169,16 @@ def _pool_ids(taps_w, banks, ids, table):
 
 def textcnn_forward(params: Params, prefix: str, x: np.ndarray,
                     embedding: np.ndarray | None = None):
-    """x is either (B, L) int token ids (embedding required) or (B, L, d_in)
-    vectors. Returns (z, cache) with z of shape (B, total filters).
-    Sequences shorter than the largest window are zero-extended."""
+    """x is either (B, L) int token ids (embedding (V, M * d_in) required) or
+    (B, L, M * d_in) vectors. Returns (z, cache) with z of shape
+    (B, M * total filters). Sequences shorter than the largest window are
+    zero-extended."""
     windows = sorted(int(n.rsplit(".w", 1)[1]) for n in params if n.startswith(f"{prefix}.w"))
     banks = [(k, params[f"{prefix}.w{k}"], params[f"{prefix}.b{k}"]) for k in windows]
+    models = banks[0][2].size // banks[0][1].shape[0]
+    # (M, taps, d_in): model m's taps of every bank, (j, f) in order
     taps_w = np.concatenate([w.transpose(1, 0, 2).reshape(-1, w.shape[2]) for _, w, _ in banks])
+    taps_w = taps_w.reshape(len(taps_w), models, -1).transpose(1, 0, 2)
     ids = None
     orig_len = x.shape[1]
     if x.ndim == 2 and np.issubdtype(x.dtype, np.integer):
@@ -178,10 +191,11 @@ def textcnn_forward(params: Params, prefix: str, x: np.ndarray,
         pooled, x = _pool_ids(taps_w, banks, ids, embedding), None
     else:
         pooled, x = _pool(taps_w, banks, x)
-    z = np.concatenate([relu(at_max) for _, _, at_max in pooled], axis=1)
+    batch = len(pooled[0][1])
+    z = np.concatenate([relu(at_max) for _, _, at_max in pooled], axis=2)
     cache = {"x": x, "ids": ids, "embedding": embedding, "orig_len": orig_len, "prefix": prefix,
-             "banks": pooled}
-    return z, cache
+             "models": models, "banks": pooled}
+    return z.reshape(batch, -1), cache
 
 
 def textcnn_backward(params: Params, cache, d_z: np.ndarray):
@@ -190,31 +204,50 @@ def textcnn_backward(params: Params, cache, d_z: np.ndarray):
     input it is the gradient w.r.t. the embedding table, the same bits as
     embedding_backward of the dense gradient w.r.t. the embedded tokens."""
     x, ids, table = cache["x"], cache["ids"], cache["embedding"]
-    prefix = cache["prefix"]
+    prefix, banks, models = cache["prefix"], cache["banks"], cache["models"]
     batch, length = ids.shape if x is None else x.shape[:2]
+    d_z = d_z.reshape(batch, models, -1).transpose(1, 0, 2)
+    source = (table.reshape(len(table), models, -1) if x is None
+              else x.reshape(batch, length, models, -1))
+    d_in = source.shape[-1]
     grads = {}
-    col = 0
     rows = np.arange(batch)[:, None, None]
-    scatter_at, scatter_val = [], []
-    for k, arg, pre_at_max in cache["banks"]:
+    model = np.arange(models)[:, None, None, None]
+    # Window entries (bank, m, b, f, j) of every argmax window: their key
+    # (position * M + m) and their input gradient d_pre * w[f, j] in block m.
+    entries = sum(k * arg.size for k, arg, _ in banks)
+    keys, values = np.empty(entries, dtype=np.int64), np.empty((entries, d_in))
+    col = start = 0
+    for k, arg, pre_at_max in banks:
         w = params[f"{prefix}.w{k}"]
         n_k = w.shape[0]
-        d_pre = d_z[:, col : col + n_k] * (pre_at_max > 0)  # (B, n_k)
+        # (M, B, n_k), each model's block laid out as a lone model's
+        d_pre = np.multiply(d_z[:, :, col : col + n_k],
+                            (pre_at_max > 0).transpose(1, 0, 2),
+                            out=np.empty((models, batch, n_k)))
         col += n_k
-        at = arg[:, :, None] + np.arange(k)  # (B, n_k, k) positions of the argmax windows
-        windows = table[ids[rows, at]] if x is None else x[rows, at]
-        grads[f"{prefix}.w{k}"] = np.einsum("bf,bfjc->fjc", d_pre, windows)
-        grads[f"{prefix}.b{k}"] = d_pre.sum(axis=0)
-        scatter_at.append((rows * length + at).reshape(-1))
-        scatter_val.append((d_pre[:, :, None, None] * w).reshape(-1, w.shape[2]))
-    at, values = np.concatenate(scatter_at), np.concatenate(scatter_val)
+        # (M, B, n_k, k) positions of the argmax windows, laid out as d_pre
+        at = np.empty((models, batch, n_k, k), dtype=arg.dtype)
+        np.add(arg.T.reshape(models, n_k, batch).transpose(0, 2, 1)[..., None], np.arange(k), out=at)
+        windows = source[ids[rows, at], model] if x is None else source[rows, at, model]
+        grads[f"{prefix}.w{k}"] = (np.einsum("mbf,mbfjc->mfjc", d_pre, windows)
+                                   .transpose(1, 2, 0, 3).reshape(w.shape))
+        grads[f"{prefix}.b{k}"] = d_pre.sum(axis=1).reshape(-1)
+        stop = start + at.size
+        np.add((rows * length + at) * models, model, out=keys[start:stop].reshape(at.shape))
+        w_m = w.reshape(n_k, k, models, d_in).transpose(2, 0, 1, 3)[:, None]
+        np.multiply(d_pre[..., None, None], w_m, out=values[start:stop].reshape(*at.shape, d_in))
+        start = stop
     if x is None:
         # Sum per window position in entry order, then per token id in
         # position order: embedding_backward's additions, zeros left out.
-        touched, at = np.unique(at, return_inverse=True)
+        touched, at = np.unique(keys, return_inverse=True)
         d_windows = _scatter_rows(values, at, len(touched))
-        return _scatter_rows(d_windows, ids.reshape(-1)[touched], len(table)), grads
-    d_x = _scatter_rows(values, at, batch * length).reshape(x.shape)[:, : cache["orig_len"]]
+        position, model = np.divmod(touched, models)
+        d_table = _scatter_rows(d_windows, ids.reshape(-1)[position] * models + model,
+                                len(table) * models)
+        return d_table.reshape(table.shape), grads
+    d_x = _scatter_rows(values, keys, batch * length * models).reshape(x.shape)[:, : cache["orig_len"]]
     if ids is not None:
         return _scatter_rows(d_x, ids, len(table)), grads
     return d_x, grads

@@ -27,6 +27,7 @@ from .deep_model import (
     DeepConfig,
     build_dataset,
     score_dataset,
+    stack_params,
     train_deep,
     write_train_log,
 )
@@ -295,6 +296,8 @@ def _run_once(corpus, config: RunConfig, out: Path, until: str,
         return _dataset([by_id[i] for i in ids], vocab, shape, x_cat[r], x_cont[r])
 
     train_ds, val_ds, test_ds = encoded(train_ids), encoded(val_ids), encoded(test_ids)
+    # The commit model first, then one early-fused model per strategy
+    strategies = ("none", *config.early_strategies)
 
     def _train_models():
         balanced = sorted(undersample(train_ids, labels, config.seed))
@@ -303,30 +306,29 @@ def _run_once(corpus, config: RunConfig, out: Path, until: str,
         sim = train_forest(x_train, y_train, ForestConfig(n_trees=config.forest_trees),
                            seed=config.seed, threads=config.threads)
         save_forest(out / "sim_forest.json", sim)
-        com_params, com_log = train_deep(train_ds, val_ds, len(vocab), deep_cfg,
-                                         seed=config.seed, strategy="none")
-        save_params(out / "com.ckpt", com_params)
-        write_train_log(out / "com_train_log.csv", com_log)
-        early = {}
-        for strategy in config.early_strategies:
-            params, log = train_deep(train_ds, val_ds, len(vocab), deep_cfg,
-                                     seed=config.seed, strategy=strategy)
-            save_params(out / f"fused_{strategy}.ckpt", params)
-            write_train_log(out / f"fused_{strategy}_train_log.csv", log)
-            early[strategy] = params
-        return sim, com_params, early
+        trained = train_deep(train_ds, val_ds, len(vocab), deep_cfg, seed=config.seed,
+                             strategy=strategies)
+        names = ["com"] + [f"fused_{s}" for s in config.early_strategies]
+        for name, (params, log) in zip(names, trained):
+            save_params(out / f"{name}.ckpt", params)
+            write_train_log(out / f"{name}_train_log.csv", log)
+        return sim, stack_params([params for params, _ in trained])
 
-    sim, com_params, early_params = _stage("train", _train_models)
+    sim, deep_params = _stage("train", _train_models)
     prov.note("train", "sim on undersampled train; deep models on train with "
                        "validation-based checkpoint selection")
     if until == "train":
         prov.write(out / "provenance.log")
         return
 
+    def deep_scores(ds):
+        """(com scores, {strategy: early-fused scores}) of one pass over ds."""
+        scores = score_dataset(deep_params, deep_cfg, ds, strategies)
+        return scores[:, 0], dict(zip(config.early_strategies, scores[:, 1:].T))
+
     def _sweep():
         sim_val = forest_predict_many(sim, x_all[rows(val_ids)])
-        com_val = score_dataset(com_params, deep_cfg, val_ds)
-        early_val = {s: score_dataset(p, deep_cfg, val_ds, s) for s, p in early_params.items()}
+        com_val, early_val = deep_scores(val_ds)
         result = fusion.sweep_combinations(val_ds.labels, sim_val, com_val, early_val)
         fusion.write_sweep_log(out / "sweep_log.csv", result)
         return result
@@ -361,12 +363,9 @@ def _run_once(corpus, config: RunConfig, out: Path, until: str,
     def _evaluate():
         x_test = x_all[rows(test_ids)]
         y_test = test_ds.labels
-        scores = {
-            "sim": forest_predict_many(sim, x_test),
-            "com": score_dataset(com_params, deep_cfg, test_ds),
-        }
-        for s, p in early_params.items():
-            scores[f"fused_{s}"] = score_dataset(p, deep_cfg, test_ds, s)
+        com_test, early_test = deep_scores(test_ds)
+        scores = {"sim": forest_predict_many(sim, x_test), "com": com_test}
+        scores.update((f"fused_{s}", vals) for s, vals in early_test.items())
         early_scores = None if best.early == "none" else scores[f"fused_{best.early}"]
         scores["bundle"] = fusion.apply_bundle_rule(
             best.early, best.late, best.weights, scores["sim"], scores["com"], early_scores)
@@ -433,8 +432,7 @@ class LoadedBundle:
     late: str
     weights: tuple | None
     sim: object
-    com_params: dict
-    early_model_params: dict | None
+    deep_params: dict  # the commit model, stacked with the early-fused model if any
     vocab: Vocab
     stats: TrainStats
     deep_cfg: DeepConfig
@@ -463,16 +461,15 @@ def load_bundle(manifest_path) -> LoadedBundle:
     shape = TextShape(**manifest["text_shape"])
     vocab = load_vocab(base / manifest["artifacts"]["vocab"], provenance=manifest["provenance"])
     early = manifest["early"]
-    early_params = None
+    deep = [load_params(base / manifest["artifacts"]["com"])]
     if early != "none":
-        early_params = load_params(base / manifest["artifacts"]["early_model"])
+        deep.append(load_params(base / manifest["artifacts"]["early_model"]))
     return LoadedBundle(
         early=early,
         late=manifest["late"],
         weights=None if manifest["weights"] is None else tuple(manifest["weights"]),
         sim=load_forest(base / manifest["artifacts"]["sim"]),
-        com_params=load_params(base / manifest["artifacts"]["com"]),
-        early_model_params=early_params,
+        deep_params=stack_params(deep),
         vocab=vocab,
         stats=TrainStats(mean=np.array(stats_d["mean"]), std=np.array(stats_d["std"]),
                          split=stats_d["split"], provenance=stats_d["provenance"]),
@@ -494,10 +491,10 @@ def predict_commits(bundle: LoadedBundle, corpus) -> list:
     x = feature_matrix(vectors[c.commit_id] for c in ordered)
     ds = _dataset(ordered, bundle.vocab, bundle.shape, *normalize_features(x, bundle.stats))
     sim_scores = forest_predict_many(bundle.sim, x)
-    com_scores = score_dataset(bundle.com_params, bundle.deep_cfg, ds)
-    early_scores = None
-    if bundle.early != "none":
-        early_scores = score_dataset(bundle.early_model_params, bundle.deep_cfg, ds, bundle.early)
+    strategies = ("none",) if bundle.early == "none" else ("none", bundle.early)
+    deep = score_dataset(bundle.deep_params, bundle.deep_cfg, ds, strategies)
+    com_scores = deep[:, 0]
+    early_scores = None if bundle.early == "none" else deep[:, 1]
     fused = fusion.apply_bundle_rule(bundle.early, bundle.late, bundle.weights,
                                      sim_scores, com_scores, early_scores)
     pos = {c.commit_id: j for j, c in enumerate(ordered)}

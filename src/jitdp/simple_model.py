@@ -308,14 +308,16 @@ FOREST_FORMAT = "jitdp-forest v1"
 
 
 def save_forest(path, model: ForestModel) -> None:
-    obj = {
-        "format": FOREST_FORMAT,
-        "n_features": model.n_features,
-        "seed": model.seed,
-        "trees": [[list(node) for node in tree] for tree in model.trees],
-    }
+    # Only one-shot json.dumps runs the C encoder (json.dump streams through
+    # the pure-Python one); one call per tree holds one tree's text at a
+    # time, where one call for the forest would hold all of it.
+    head = json.dumps({"format": FOREST_FORMAT, "n_features": model.n_features,
+                       "seed": model.seed, "trees": []})
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle)
+        handle.write(head[: -len("]}")])
+        for i, tree in enumerate(model.trees):
+            handle.write((", " if i else "") + json.dumps([list(node) for node in tree]))
+        handle.write("]}")
 
 
 def load_forest(path) -> ForestModel:

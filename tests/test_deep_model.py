@@ -1,6 +1,8 @@
 """Deep model tests: forward values against a scalar-loop oracle, training
 behavior on planted-signal corpora, checkpoint selection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,16 +14,18 @@ from jitdp.deep_model import (
     TrainLogEntry,
     backward_batch,
     build_dataset,
-    com_forward,
     forward_batch,
     init_deep_params,
+    model_params,
     score_dataset,
+    stack_params,
     train_deep,
     write_train_log,
 )
 from jitdp.evaluation import roc_auc
-from jitdp.nn import cross_entropy_batch, finite_diff_check
-from jitdp.textprep import MICRO_SHAPE, TextShape, build_vocab, encode_commit, render_change_document, tokenize
+from jitdp import nn
+from jitdp.nn import cross_entropy_batch, finite_diff_check, save_params
+from jitdp.textprep import MICRO_SHAPE, build_vocab, render_change_document, tokenize
 
 from test_nn import scalar_loop_textcnn
 
@@ -142,14 +146,11 @@ class TestComForward:
         exp = np.exp(logits - logits.max())
         probs_ref = exp / exp.sum()
 
-        from jitdp.textprep import EncodedCommit
-
-        enc = EncodedCommit(message_ids=msg_ids, file_ids=file_ids,
-                            shape=TextShape(l_msg=6, l_code=8, files=1))
-        probs, z_m, z_c = com_forward(params, cfg, enc)
-        assert np.allclose(z_m, z_m_ref, atol=1e-12)
-        assert np.allclose(z_c, z_c_ref, atol=1e-12)
-        assert np.allclose(probs, probs_ref, atol=1e-12)
+        probs, z_m, z_c, _ = forward_batch(params, cfg, msg_ids[None, :], file_ids[None, :, :],
+                                           np.zeros((1, 1)), np.zeros((1, 13)))
+        assert np.allclose(z_m[0], z_m_ref, atol=1e-12)
+        assert np.allclose(z_c[0], z_c_ref, atol=1e-12)
+        assert np.allclose(probs[0], probs_ref, atol=1e-12)
 
 
 MICRO_SPEC_TEXT = SyntheticSpec(size=400, feature_strength=0.0, text_strength=1.0, seed=7)
@@ -198,8 +199,6 @@ class TestTrainDeep:
     def test_empty_validation_rejected(self):
         train, val, _, vocab = _datasets(SyntheticSpec(size=150, seed=3))
         empty = build_dataset([], _vocab_for([]), MICRO_SHAPE) if False else None
-        import dataclasses
-
         empty_val = dataclasses.replace(
             val, commit_ids=(), message_ids=val.message_ids[:0],
             file_ids=val.file_ids[:0], x_cat=val.x_cat[:0], x_cont=val.x_cont[:0],
@@ -215,6 +214,51 @@ class TestTrainDeep:
         doubled, _ = cross_entropy_batch(probs, labels, (1.0, 4.0))
         only_defective, _ = cross_entropy_batch(probs, labels, (0.0, 2.0))
         assert doubled - base == pytest.approx(only_defective, abs=1e-12)
+
+
+STRATEGIES = ("none", "sc", "tc", "amf", "gmf")
+
+
+def _with_features(ds, seed):
+    rng = np.random.default_rng(seed)
+    return dataclasses.replace(ds, x_cat=rng.normal(size=(len(ds), 1)),
+                               x_cont=rng.normal(size=(len(ds), 13)))
+
+
+class TestLockstep:
+    """The commit model and the early-fused models as one stack: trained in
+    lockstep and scored in one pass, each the bits of a lone model."""
+
+    def test_lockstep_training_matches_separate_runs(self, tmp_path):
+        train, val, _, vocab = _datasets(SyntheticSpec(size=200, text_strength=1.0, seed=4))
+        train, val = _with_features(train, 1), _with_features(val, 2)
+        cfg = dataclasses.replace(MICRO_CONFIG, epochs=2)
+        lockstep = train_deep(train, val, len(vocab), cfg, seed=3, strategy=STRATEGIES)
+        assert len(lockstep) == len(STRATEGIES)
+        for s, (params, log) in zip(STRATEGIES, lockstep):
+            alone, alone_log = train_deep(train, val, len(vocab), cfg, seed=3, strategy=s)
+            assert log == alone_log, s
+            save_params(tmp_path / "lockstep.ckpt", params)
+            save_params(tmp_path / "alone.ckpt", alone)
+            assert (tmp_path / "lockstep.ckpt").read_bytes() == (tmp_path / "alone.ckpt").read_bytes(), s
+
+    @pytest.mark.parametrize("block", [nn._TEXTCNN_BLOCK, 1 << 12])
+    def test_stacked_scores_match_per_model_scores(self, block, monkeypatch):
+        _, val, test, vocab = _datasets(SyntheticSpec(size=200, text_strength=1.0, seed=4))
+        test = _with_features(test, 5)
+        models = [init_deep_params(np.random.default_rng(i), len(vocab), MICRO_CONFIG, s)
+                  for i, s in enumerate(STRATEGIES)]
+        alone = [score_dataset(p, MICRO_CONFIG, test, s, batch=16)
+                 for p, s in zip(models, STRATEGIES)]
+        stack = stack_params(models)
+        monkeypatch.setattr(nn, "_TEXTCNN_BLOCK", block)
+        scores = score_dataset(stack, MICRO_CONFIG, test, STRATEGIES, batch=16)
+        assert scores.shape == (len(test), len(STRATEGIES))
+        for m, ref in enumerate(alone):
+            assert np.array_equal(scores[:, m], ref), STRATEGIES[m]
+            unstacked = model_params(stack, len(models), m)
+            assert list(unstacked) == list(models[m])
+            assert all(np.array_equal(unstacked[n], models[m][n]) for n in models[m])
 
 
 class TestTrainLogFile:

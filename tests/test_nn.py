@@ -573,3 +573,78 @@ class TestCheckpoint:
         path.write_bytes(blob)
         with pytest.raises(ValueError, match="version"):
             nn.load_params(path)
+
+
+@st.composite
+def model_stacks(draw):
+    """M models' textCNN params, their inputs and output gradients: token ids
+    with padding tails (lengths below, at and past the widest window, 3) or
+    vectors, and a bucket block that may split the batch."""
+    models = draw(st.sampled_from([1, 2, 5]))
+    d_in = draw(st.sampled_from([1, 3, 8]))
+    filters = draw(st.sampled_from([1, 2, 7, 8]))
+    vectors = draw(st.booleans())
+    ids = draw(id_batches())
+    block = draw(st.sampled_from([1, 150, 400, 1 << 20]))
+    rng = np.random.default_rng(draw(st.integers(0, 1000)))
+    params = []
+    for _ in range(models):
+        p = nn.textcnn_init(rng, "t", d_in, (1, 2, 3), filters)
+        params.append({n: rng.normal(scale=0.3, size=v.shape) if ".b" in n else v
+                       for n, v in p.items()})
+    if vectors:
+        inputs = [rng.normal(size=(*ids.shape, d_in)) for _ in range(models)]
+        tables = [None] * models
+    else:
+        inputs = [ids] * models
+        tables = [rng.normal(size=(10, d_in)) for _ in range(models)]
+    d_z = [rng.normal(size=(len(ids), filters)) for _ in range(models)]
+    return params, inputs, tables, d_z, block
+
+
+def _textcnn_pass(params, x, table, d_z, block):
+    with mock.patch.object(nn, "_TEXTCNN_BLOCK", block):
+        z, cache = nn.textcnn_forward(params, "t", x, embedding=table)
+    return z, *nn.textcnn_backward(params, cache, d_z)
+
+
+class TestTextCnnChannelBlocks:
+    """M models in channel blocks are M lone models, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=model_stacks())
+    def test_stack_matches_per_model_calls(self, case):
+        params, inputs, tables, d_z, block = case
+        models = len(params)
+        stacked = {n: np.concatenate([p[n] for p in params], axis=-1) for n in params[0]}
+        x = inputs[0] if tables[0] is not None else np.concatenate(inputs, axis=-1)
+        table = None if tables[0] is None else np.concatenate(tables, axis=1)
+        z, d_input, grads = _textcnn_pass(stacked, x, table, np.concatenate(d_z, axis=1), block)
+        # A lone model's bucket holds M times the rows of the stack's.
+        for m in range(models):
+            z_m, d_m, grads_m = _textcnn_pass(params[m], inputs[m], tables[m], d_z[m],
+                                              block // models)
+            width = z_m.shape[1]
+            assert np.array_equal(z[:, m * width : (m + 1) * width], z_m)
+            width = d_m.shape[-1]
+            assert np.array_equal(d_input[..., m * width : (m + 1) * width], d_m)
+            assert sorted(grads) == sorted(grads_m)
+            for name, g in grads_m.items():
+                width = g.shape[-1]
+                assert np.array_equal(grads[name][..., m * width : (m + 1) * width], g), name
+
+    def test_bucket_cap_counts_every_model(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        models = 5
+        params = {n: np.concatenate([v] * models, axis=-1)
+                  for n, v in nn.textcnn_init(rng, "t", 3, (1, 2, 3), 5).items()}
+        taps = models * sum(w.shape[0] * w.shape[1] for n, w in params.items() if ".w" in n)
+        ids = rng.integers(1, 20, size=(12, 24))
+        embedded = []
+        monkeypatch.setattr(nn, "embedding_forward",
+                            lambda table, part: embedded.append(part.shape) or table[part])
+        monkeypatch.setattr(nn, "_TEXTCNN_BLOCK", taps * 100)
+        z, _ = nn.textcnn_forward(params, "t", ids, embedding=rng.normal(size=(20, 3 * models)))
+        assert z.shape == (12, 5 * models)
+        assert len(embedded) > 1
+        assert all(rows * length <= 100 for rows, length in embedded)

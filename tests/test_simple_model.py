@@ -1,5 +1,7 @@
 """Random forest and logistic baseline tests."""
 
+import dataclasses
+import json
 from unittest import mock
 
 import numpy as np
@@ -356,6 +358,17 @@ class TestForestSerialization:
         assert [[tuple(map(type, node)) for node in tree] for tree in loaded.trees] == \
             [[tuple(map(type, node)) for node in tree] for tree in model.trees]
         assert np.array_equal(forest_predict_many(loaded, x), forest_predict_many(model, x))
+
+    @pytest.mark.parametrize("n_trees", [0, 1, 7])
+    def test_file_is_the_forest_as_one_json_document(self, n_trees, tmp_path):
+        x, y = _separable_1d(60, seed=9)
+        model = train_forest(x, y, ForestConfig(n_trees=max(n_trees, 1)), seed=4)
+        model = dataclasses.replace(model, trees=model.trees[:n_trees])
+        path = tmp_path / "forest.json"
+        save_forest(path, model)
+        assert path.read_text(encoding="utf-8") == json.dumps({
+            "format": simple_model.FOREST_FORMAT, "n_features": model.n_features, "seed": model.seed,
+            "trees": [[list(node) for node in tree] for tree in model.trees]})
 
     def test_bad_format_rejected(self, tmp_path):
         path = tmp_path / "forest.json"
