@@ -8,11 +8,20 @@ Conventions fixed here (the literature leaves them open):
   * per-author subsystem counts increment once per distinct subsystem a
     commit touches, and sexp sums those counts over the commit's subsystems
   * nuc is the union of prior change ids over the touched paths
+
+A batch of commits is featurized in one chronological pass. The pass keeps
+the history in Python: each path's prior authors and prior changes are
+Python-int bitsets over author and change ordinals, so ndev and nuc are an
+OR over the touched paths and a bit count. The float features (entropy, age,
+rexp) are computed after the pass for the whole batch as arrays, with each
+commit's sums taken in the order a one-commit numpy call takes them, and
+every feature lands in one (n, 14) matrix.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -32,6 +41,11 @@ CONTINUOUS_NAMES = tuple(n for n in FEATURE_NAMES if n not in CATEGORICAL_NAMES)
 _FIX_INDEX = FEATURE_NAMES.index("fix")
 _CONT_INDICES = np.array([i for i, n in enumerate(FEATURE_NAMES) if n != "fix"])
 _ROW = attrgetter(*FEATURE_NAMES)
+_FLOAT_NAMES = ("entropy", "lt", "age", "rexp")
+_TYPES = tuple(float if n in _FLOAT_NAMES else int for n in FEATURE_NAMES)
+_ENTROPY, _AGE, _REXP = (FEATURE_NAMES.index(n) for n in ("entropy", "age", "rexp"))
+# Elements of one (commits x prior timestamps) block of the rexp pass.
+_REXP_BLOCK = 1 << 15
 
 _FIX_PATTERN = re.compile(
     r"\b(bug|fix|fixes|fixed|defect|fault|patch|error|fail|failure)\b",
@@ -78,18 +92,49 @@ def feature_matrix(vectors) -> np.ndarray:
     return np.array([_ROW(v) for v in vectors], dtype=np.float64).reshape(-1, len(FEATURE_NAMES))
 
 
+class FeatureTable(Mapping):
+    """Read-only commit_id -> HandCraftedVector view of a feature matrix.
+    `matrix` holds one row per featurized commit, in featurization order;
+    each lookup builds its vector, with the integer features as int."""
+
+    def __init__(self, commit_ids, matrix: np.ndarray):
+        self.matrix = matrix
+        self._row = {cid: j for j, cid in enumerate(commit_ids)}
+
+    def row(self, commit_id) -> list:
+        """The commit's 14 values in FEATURE_NAMES order, typed as in
+        HandCraftedVector."""
+        return [t(v) for t, v in zip(_TYPES, self.matrix[self._row[commit_id]].tolist())]
+
+    def __getitem__(self, commit_id) -> HandCraftedVector:
+        return HandCraftedVector(*self.row(commit_id))
+
+    def __contains__(self, commit_id) -> bool:
+        return commit_id in self._row
+
+    def __iter__(self):
+        return iter(self._row)
+
+    def __len__(self) -> int:
+        return len(self._row)
+
+
 class HistoryIndex:
     """Incremental view of everything strictly earlier than the commit being
     featurized. `update` must be called in (timestamp, commit_id) order,
     after the commit has been featurized against the current state.
 
-    Each author's commit timestamps sit in an int64 buffer that doubles when
-    full; its first author_commits[author] entries are the filled ones."""
+    Each path's prior authors and prior changes are Python-int bitsets: bit
+    author_bit[a] for author a, bit k for the k-th update. Each author's
+    commit timestamps sit in an int64 buffer that doubles when full; its
+    first author_commits[author] entries are the filled ones."""
 
     def __init__(self):
         self.path_last_modified: dict[str, int] = {}
-        self.path_authors: dict[str, set] = {}
-        self.path_change_ids: dict[str, set] = {}
+        self.path_author_bits: dict[str, int] = {}
+        self.path_change_bits: dict[str, int] = {}
+        self.author_bit: dict[str, int] = {}
+        self.changes = 0
         self.author_commits: dict[str, int] = {}
         self.author_commit_times: dict[str, np.ndarray] = {}
         self.author_subsystem_counts: dict[str, dict] = {}
@@ -101,88 +146,148 @@ class HistoryIndex:
             raise DataError(
                 f"history updates must be chronological; got {commit.commit_id} after cursor {self._cursor}"
             )
-        self._cursor = key
-        for path in {f.path for f in commit.files}:
-            self.path_last_modified[path] = commit.timestamp
-            self.path_authors.setdefault(path, set()).add(commit.author)
-            self.path_change_ids.setdefault(path, set()).add(commit.commit_id)
-        n = self.author_commits.get(commit.author, 0)
-        times = self.author_commit_times.get(commit.author)
+        paths = {f.path for f in commit.files}
+        self._add(commit, paths, {subsystem_of(p) for p in paths})
+
+    def _add(self, commit: CommitRecord, paths, subsystems) -> None:
+        """update() of a commit whose order is already checked, given its
+        distinct paths and subsystems."""
+        self._cursor = (commit.timestamp, commit.commit_id)
+        author = commit.author
+        author_bit = self.author_bit.get(author)
+        if author_bit is None:
+            author_bit = self.author_bit[author] = 1 << len(self.author_bit)
+        change_bit = 1 << self.changes
+        self.changes += 1
+        last, authors, changes = self.path_last_modified, self.path_author_bits, self.path_change_bits
+        for path in paths:
+            last[path] = commit.timestamp
+            authors[path] = authors.get(path, 0) | author_bit
+            changes[path] = changes.get(path, 0) | change_bit
+        n = self.author_commits.get(author, 0)
+        times = self.author_commit_times.get(author)
         if times is None or n == len(times):
             grown = np.empty(max(4, 2 * n), dtype=np.int64)
             if n:
                 grown[:n] = times
-            self.author_commit_times[commit.author] = times = grown
+            self.author_commit_times[author] = times = grown
         times[n] = commit.timestamp
-        self.author_commits[commit.author] = n + 1
-        sub_counts = self.author_subsystem_counts.setdefault(commit.author, {})
-        for sub in {subsystem_of(f.path) for f in commit.files}:
+        self.author_commits[author] = n + 1
+        sub_counts = self.author_subsystem_counts.setdefault(author, {})
+        for sub in subsystems:
             sub_counts[sub] = sub_counts.get(sub, 0) + 1
+
+
+def _featurize(commits, history: HistoryIndex) -> np.ndarray:
+    """(n, 14) feature matrix of the commits, each against `history` as it
+    stands before the commit: every commit but the last is added to
+    `history` once featurized. The commits must be in chronological order.
+
+    The loop keeps the set-valued history in Python and collects each
+    commit's terms of entropy, age and rexp. Commits with the same number of
+    entropy or age terms form one (commits x terms) block, whose row sums
+    np.add.reduce takes in the order of a 1-D reduce over the row (a left
+    fold below 8 terms, numpy's pairwise sum from 8 on; np.add.reduceat
+    would add differently). rexp is a left-to-right cumsum over the author's
+    prior timestamps, for blocks of an author's commits against a prefix of
+    its timestamp buffer. Per-commit values go to flat lists, which keeps
+    the garbage collector's work independent of the batch size."""
+    width = len(FEATURE_NAMES)
+    values = []  # the matrix, row-major; entropy, age and rexp filled in last
+    entropy_in = {}  # positive line counts -> (rows, line shares, file counts)
+    age_in = {}  # distinct paths -> (rows, seconds since each path's last change)
+    rexp_in = {}  # author -> (rows, prior commit counts, timestamps)
+    path_last, path_authors, path_changes = (
+        history.path_last_modified, history.path_author_bits, history.path_change_bits)
+    last = len(commits) - 1
+    for j, commit in enumerate(commits):
+        files = commit.files
+        if not files:
+            raise DataError(f"commit {commit.commit_id} has no file changes")
+        t = commit.timestamp
+        la = ld = loc = 0
+        counts = []
+        for f in files:
+            added, removed = len(f.added_lines), len(f.removed_lines)
+            la += added
+            ld += removed
+            loc += f.loc_before
+            if added + removed:
+                counts.append(added + removed)
+        n_files = len(files)
+        if n_files > 1 and counts:
+            total = float(la + ld)
+            group = entropy_in.setdefault(len(counts), ([], [], []))
+            group[0].append(j)
+            group[1].extend([k / total for k in counts])
+            group[2].append(n_files)
+
+        paths = sorted({f.path for f in files})
+        subsystems = {subsystem_of(p) for p in paths}
+        authors = changes = 0
+        seconds = []
+        for p in paths:
+            authors |= path_authors.get(p, 0)
+            changes |= path_changes.get(p, 0)
+            seconds.append(t - path_last.get(p, t))
+        group = age_in.setdefault(len(paths), ([], []))
+        group[0].append(j)
+        group[1].extend(seconds)
+
+        author = commit.author
+        exp = history.author_commits.get(author, 0)
+        if exp:
+            group = rexp_in.setdefault(author, ([], [], []))
+            group[0].append(j)
+            group[1].append(exp)
+            group[2].append(t)
+        sub_counts = history.author_subsystem_counts.get(author, {})
+
+        values += (
+            len(subsystems), len({directory_of(p) for p in paths}), n_files, 0.0, la, ld,
+            # An exact integer sum and one correctly rounded division.
+            loc / n_files,
+            classify_fix_message(commit.message), authors.bit_count(), 0.0,
+            changes.bit_count(), exp, 0.0, sum([sub_counts.get(s, 0) for s in subsystems]),
+        )
+        if j < last:
+            history._add(commit, paths, subsystems)
+
+    for m, (at, shares, n_files) in entropy_in.items():
+        p = np.array(shares).reshape(-1, m)
+        entropy = -np.add.reduce(p * np.log2(p), axis=1) / np.log2(n_files)
+        for j, v in zip(at, entropy.tolist()):
+            values[j * width + _ENTROPY] = v
+    for m, (at, seconds) in age_in.items():
+        days = np.array(seconds, dtype=np.float64).reshape(-1, m) / SECONDS_PER_DAY
+        for j, v in zip(at, (np.add.reduce(days, axis=1) / m).tolist()):
+            values[j * width + _AGE] = v
+    for author, (at, exps, stamps) in rexp_in.items():
+        times = history.author_commit_times[author]
+        # An author's commits in one batch have consecutive prior counts, so
+        # a block of `step` of them is at most step x exps[-1]. Its work
+        # arrays are allocated once per author: fresh ones for every block
+        # measured twice as slow.
+        step = min(len(at), max(1, _REXP_BLOCK // exps[-1]))
+        ages, decays = np.empty(step * exps[-1], dtype=np.int64), np.empty(step * exps[-1])
+        for a in range(0, len(at), step):
+            prior = exps[a:a + step]
+            shape = (len(prior), prior[-1])
+            age = np.subtract.outer(stamps[a:a + step], times[:prior[-1]],
+                                    out=ages[:shape[0] * shape[1]].reshape(shape))
+            decay = np.divide(age, SECONDS_PER_YEAR, out=decays[:age.size].reshape(shape))
+            decay += 1.0
+            np.divide(1.0, decay, out=decay)
+            np.cumsum(decay, axis=1, out=decay)
+            rexp = decay.take([i * prior[-1] + k - 1 for i, k in enumerate(prior)])
+            for j, v in zip(at[a:a + step], rexp.tolist()):
+                values[j * width + _REXP] = v
+    return np.array(values, dtype=np.float64).reshape(-1, width)
 
 
 def extract_features(commit: CommitRecord, history: HistoryIndex) -> HandCraftedVector:
     """Compute all 14 metrics for one commit against a history snapshot."""
-    if not commit.files:
-        raise DataError(f"commit {commit.commit_id} has no file changes")
-    paths = sorted({f.path for f in commit.files})
-    subsystems = {subsystem_of(p) for p in paths}
-    directories = {directory_of(p) for p in paths}
-
-    line_counts = [f.modified_line_count() for f in commit.files]
-    total_lines = sum(line_counts)
-    n_files = len(commit.files)
-    if n_files > 1 and total_lines > 0:
-        counts = np.array(line_counts, dtype=np.float64)
-        p = counts[counts > 0] / float(total_lines)
-        entropy = float(-(p * np.log2(p)).sum() / np.log2(n_files))
-    else:
-        entropy = 0.0
-
-    la = sum(len(f.added_lines) for f in commit.files)
-    ld = sum(len(f.removed_lines) for f in commit.files)
-    # An exact integer sum and one correctly rounded division: np.mean's bits
-    # while the sum stays below 2**53.
-    lt = sum(f.loc_before for f in commit.files) / n_files
-
-    prior_authors = set()
-    prior_changes = set()
-    age_days = []
-    for path in paths:
-        prior_authors |= history.path_authors.get(path, set())
-        prior_changes |= history.path_change_ids.get(path, set())
-        last = history.path_last_modified.get(path)
-        age_days.append(0.0 if last is None else (commit.timestamp - last) / SECONDS_PER_DAY)
-
-    # np.mean's bits (its pairwise sum, then one division) without its
-    # per-call overhead.
-    age = float(np.add.reduce(np.array(age_days))) / len(age_days)
-
-    exp = history.author_commits.get(commit.author, 0)
-    rexp = 0.0
-    if exp:
-        # cumsum adds left to right like a sequential sum, so the result does
-        # not depend on numpy's pairwise reduction.
-        times = history.author_commit_times[commit.author][:exp]
-        rexp = float(np.cumsum(1.0 / ((commit.timestamp - times) / SECONDS_PER_YEAR + 1.0))[-1])
-    sub_counts = history.author_subsystem_counts.get(commit.author, {})
-    sexp = sum(sub_counts.get(s, 0) for s in subsystems)
-
-    return HandCraftedVector(
-        ns=len(subsystems),
-        nd=len(directories),
-        nf=n_files,
-        entropy=entropy,
-        la=la,
-        ld=ld,
-        lt=lt,
-        fix=classify_fix_message(commit.message),
-        ndev=len(prior_authors),
-        age=age,
-        nuc=len(prior_changes),
-        exp=exp,
-        rexp=rexp,
-        sexp=sexp,
-    )
+    return FeatureTable([commit.commit_id], _featurize([commit], history))[commit.commit_id]
 
 
 def _check_sorted(corpus) -> None:
@@ -202,9 +307,11 @@ def history_snapshots(corpus):
         index.update(commit)
 
 
-def featurize_corpus(corpus) -> dict:
-    """commit_id -> HandCraftedVector for a chronologically sorted corpus."""
-    return {c.commit_id: extract_features(c, h) for c, h in history_snapshots(corpus)}
+def featurize_corpus(corpus) -> FeatureTable:
+    """commit_id -> HandCraftedVector for a chronologically sorted corpus,
+    backed by its (n, 14) feature matrix in corpus order."""
+    _check_sorted(corpus)
+    return FeatureTable([c.commit_id for c in corpus], _featurize(corpus, HistoryIndex()))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +334,10 @@ class FeatureSplitEntry:
 
 
 def fit_train_stats(vectors, split: str = "train", provenance: str = "") -> TrainStats:
-    """Per-feature mean/std (population) of the continuous block."""
-    rows = feature_matrix(vectors).take(_CONT_INDICES, axis=1)
+    """Per-feature mean/std (population) of the continuous block, over
+    HandCraftedVectors or the rows of an (n, 14) feature matrix."""
+    x = vectors if isinstance(vectors, np.ndarray) else feature_matrix(vectors)
+    rows = x.take(_CONT_INDICES, axis=1)
     return TrainStats(
         mean=rows.mean(axis=0),
         std=rows.std(axis=0),
@@ -272,14 +381,13 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_feature_table(path, corpus, vectors: dict) -> None:
+def write_feature_table(path, corpus, table: FeatureTable) -> None:
     """One row per commit, full-precision decimal values, label blank when
     the commit is unlabeled."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(TABLE_HEADER + "\n")
         for commit in corpus:
-            vec = vectors[commit.commit_id]
             cells = [commit.commit_id]
-            cells += [_cell(getattr(vec, n)) for n in FEATURE_NAMES]
+            cells += map(_cell, table.row(commit.commit_id))
             cells.append("" if commit.label is None else str(commit.label))
             handle.write(",".join(cells) + "\n")

@@ -241,7 +241,12 @@ def textcnn_backward(params: Params, cache, d_z: np.ndarray):
     if x is None:
         # Sum per window position in entry order, then per token id in
         # position order: embedding_backward's additions, zeros left out.
-        touched, at = np.unique(keys, return_inverse=True)
+        # The touched positions ascending and each entry's slot among them,
+        # as np.unique(keys, return_inverse=True) gives them, without a sort.
+        hit = np.zeros(batch * length * models, dtype=bool)
+        hit[keys] = True
+        touched = np.flatnonzero(hit)
+        at = (np.cumsum(hit) - 1).take(keys)
         d_windows = _scatter_rows(values, at, len(touched))
         position, model = np.divmod(touched, models)
         d_table = _scatter_rows(d_windows, ids.reshape(-1)[position] * models + model,

@@ -43,7 +43,6 @@ from .explain import explain_instance
 # split_and_normalize is not called here; perfbench/spans.py wraps it in this namespace.
 from .features import (  # noqa: F401
     TrainStats,
-    feature_matrix,
     featurize_corpus,
     fit_train_stats,
     normalize_features,
@@ -267,16 +266,17 @@ def _run_once(corpus, config: RunConfig, out: Path, until: str,
     prov.note("split", f"train={len(train_ids)} validation={len(val_ids)} test={len(test_ids)} "
                        f"(ids and timestamps only, no labels read)")
 
-    vectors = _stage("features", featurize_corpus, ordered)
-    write_feature_table(out / "features.csv", ordered, vectors)
+    features = _stage("features", featurize_corpus, ordered)
+    write_feature_table(out / "features.csv", ordered, features)
     (out / "train_ids.txt").write_text("\n".join(train_ids) + "\n", encoding="utf-8")
-    stats = fit_train_stats([vectors[i] for i in train_ids], split="train", provenance=provenance)
-    x_all = feature_matrix(vectors[c.commit_id] for c in ordered)
-    x_cat, x_cont = normalize_features(x_all, stats)
+    x_all = features.matrix
     row_of = {c.commit_id: j for j, c in enumerate(ordered)}
 
     def rows(ids):
         return [row_of[i] for i in ids]
+
+    stats = fit_train_stats(x_all[rows(train_ids)], split="train", provenance=provenance)
+    x_cat, x_cont = normalize_features(x_all, stats)
 
     prov.note("features", "feature table over all commits; z-stats from train rows only")
     if until == "features":
@@ -487,8 +487,7 @@ def predict_commits(bundle: LoadedBundle, corpus) -> list:
     if not corpus:
         return []
     ordered = sort_chronologically(corpus)
-    vectors = featurize_corpus(ordered)
-    x = feature_matrix(vectors[c.commit_id] for c in ordered)
+    x = featurize_corpus(ordered).matrix
     ds = _dataset(ordered, bundle.vocab, bundle.shape, *normalize_features(x, bundle.stats))
     sim_scores = forest_predict_many(bundle.sim, x)
     strategies = ("none",) if bundle.early == "none" else ("none", bundle.early)

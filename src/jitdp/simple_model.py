@@ -284,7 +284,8 @@ def forest_predict_many(model: ForestModel, rows) -> np.ndarray:
     """Defect probability per row, all trees walked one level at a time.
 
     Each block of rows holds one current node per (row, tree); every step
-    moves all of them one level down, and leaves stay where they are.
+    moves all of them one level down, and leaves stay where they are, so
+    the walk of a block ends at the first step that moves none of them.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if len(rows) == 0:
@@ -299,7 +300,10 @@ def forest_predict_many(model: ForestModel, rows) -> np.ndarray:
         node = np.broadcast_to(model._roots, (len(block), len(model._roots)))
         for _ in range(model._depth):
             value = flat.take(row_base + model._feature.take(node))
-            node = model._child.take(2 * node + (value <= model._threshold.take(node)))
+            step = model._child.take(2 * node + (value <= model._threshold.take(node)))
+            if (step == node).all():
+                break
+            node = step
         out[start:start + len(block)] = model._p_defective.take(node).mean(axis=1)
     return out
 

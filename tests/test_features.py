@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jitdp import features
 from jitdp.corpus import CommitRecord, DataError, FileChange
 from jitdp.features import (
     FEATURE_NAMES,
@@ -200,9 +201,11 @@ class TestHistoryIndex:
         index = HistoryIndex()
         for i, commit in enumerate(fixture_corpus):
             for path in {f.path for f in commit.files}:
-                brute = {q.commit_id for q in fixture_corpus[:i]
+                brute = {k for k, q in enumerate(fixture_corpus[:i])
                          if path in {f.path for f in q.files}}
-                assert index.path_change_ids.get(path, set()) == brute
+                bits = index.path_change_bits.get(path, 0)
+                assert {k for k in range(i) if bits >> k & 1} == brute
+                assert bits >> i == 0
             index.update(commit)
 
 
@@ -444,6 +447,45 @@ class TestArrayHistoryAgainstReference:
     def test_acceptance_corpus(self, acceptance_corpus):
         assert_matches_reference(acceptance_corpus)
 
+    def test_bitsets_wider_than_a_machine_word(self):
+        # 70 authors, then 70 more commits by one of them: the path's author
+        # and change bitsets both pass 64 bits.
+        commits = [CommitRecord(f"c{i:03d}", 1_000 * i, f"dev{min(i, 69)}", "m",
+                                (FileChange("core/f.py", ("+",) * (i % 3 + 1)),
+                                 FileChange(f"net/{i % 5}.py", ("-",))))
+                   for i in range(140)]
+        commits.append(CommitRecord("last", 10**6, "new", "m", (FileChange("core/f.py", ("+",)),)))
+        assert_matches_reference(commits)
+        vec = featurize_corpus(commits)["last"]
+        assert (vec.ndev, vec.nuc) == (70, 140)
+
+    def test_rexp_blocks_of_one_author(self, monkeypatch):
+        # Small blocks: the author's 40 commits span several (commits x
+        # prior timestamps) blocks.
+        monkeypatch.setattr(features, "_REXP_BLOCK", 64)
+        commits = [CommitRecord(f"c{i:02d}", 3_600 * i * i, "a", "m", (FileChange("p/f", ("x",)),))
+                   for i in range(40)]
+        assert_matches_reference(commits)
+
+    def test_lt_of_a_loc_sum_past_int64(self):
+        locs = (2**63 - 1, 2**62 + 7, 2**61 + 3)
+        commit = CommitRecord("x", 1, "a", "m", tuple(FileChange(f"p/{j}", ("+",), (), loc)
+                                                      for j, loc in enumerate(locs)))
+        assert sum(locs) > 2**63
+        table = featurize_corpus([commit])
+        assert table["x"].lt == sum(locs) / 3
+        assert table.matrix[0, FEATURE_NAMES.index("lt")] == sum(locs) / 3
+        assert_matches_reference([commit])
+
+    def test_one_commit_against_a_populated_index(self, acceptance_corpus):
+        index, history = HistoryIndex(), ListHistory()
+        for commit in acceptance_corpus[:600]:
+            index.update(commit)
+            history.update(commit)
+        for commit in acceptance_corpus[600:640]:
+            got = [repr(v) for v in _as_tuple(extract_features(commit, index))]
+            assert got == [repr(v) for v in reference_features(commit, history)], commit.commit_id
+
     def test_timestamp_buffer_grows_past_its_capacity(self):
         commits = [CommitRecord(f"c{i:02d}", i * 86_400, "a", "m", (FileChange("p/f", ("x",)),))
                    for i in range(40)]
@@ -452,6 +494,34 @@ class TestArrayHistoryAgainstReference:
             index.update(commit)
         assert index.author_commits["a"] == 40
         assert list(index.author_commit_times["a"][:40]) == [c.timestamp for c in commits]
+
+
+class TestFeaturizedMatrix:
+    def test_matrix_equals_feature_matrix_of_its_vectors(self, acceptance_corpus):
+        table = featurize_corpus(acceptance_corpus)
+        assert len(table) == len(acceptance_corpus)
+        assert list(table) == [c.commit_id for c in acceptance_corpus]
+        x = feature_matrix(table[c.commit_id] for c in acceptance_corpus)
+        assert table.matrix.dtype == np.float64
+        assert table.matrix.tobytes() == x.tobytes()
+
+    def test_vectors_carry_int_and_float_types(self, fixture_corpus):
+        vec = featurize_corpus(fixture_corpus)["f12"]
+        for name in FEATURE_NAMES:
+            expected = float if name in ("entropy", "lt", "age", "rexp") else int
+            assert type(getattr(vec, name)) is expected, name
+
+    def test_read_only_mapping(self, fixture_corpus):
+        table = featurize_corpus(fixture_corpus)
+        assert "f01" in table and "zz" not in table
+        with pytest.raises(KeyError):
+            table["zz"]
+        with pytest.raises(TypeError):
+            table["f01"] = None
+
+    def test_empty_corpus(self):
+        table = featurize_corpus([])
+        assert len(table) == 0 and table.matrix.shape == (0, len(FEATURE_NAMES))
 
 
 class TestNormalizeFeatures:
