@@ -308,20 +308,6 @@ def classifier_backward(params: Params, cache, d_logits: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def cross_entropy(probs, label: int, class_weights=(1.0, 1.0)):
-    """Single example: loss = -weight(label) * log(prob_label); gradient is
-    with respect to the logits feeding the normalization."""
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    probs = np.asarray(probs, dtype=np.float64)
-    w = float(class_weights[label])
-    onehot = np.zeros(2)
-    onehot[label] = 1.0
-    loss = -w * np.log(probs[label])
-    d_logits = w * (probs - onehot)
-    return float(loss), d_logits
-
-
 def cross_entropy_batch(probs: np.ndarray, labels: np.ndarray, class_weights=(1.0, 1.0)):
     """Mean class-weighted cross-entropy over a batch; gradient w.r.t. logits."""
     n = len(labels)
@@ -551,7 +537,7 @@ def load_params(path) -> Params:
     lines = header.decode("utf-8").split("\n")
     if lines[0] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {lines[0]!r}")
-    stated = lines[-1].split(" ", 1)[1]
+    stated = lines[-1].partition(" ")[2]
     if hashlib.sha256(payload).hexdigest() != stated:
         raise ValueError("checkpoint payload checksum mismatch")
     params = {}

@@ -59,6 +59,8 @@ from .simple_model import (
 )
 from .textprep import TextShape, Vocab, build_vocab, load_vocab, render_change_document, save_vocab, tokenize
 
+BUNDLE_FORMAT = "jitdp-bundle v2"
+
 
 class PipelineError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
@@ -305,7 +307,7 @@ def _run_once(corpus, config: RunConfig, out: Path, until: str,
         y_train = np.array([labels[i] for i in balanced])
         sim = train_forest(x_train, y_train, ForestConfig(n_trees=config.forest_trees),
                            seed=config.seed, threads=config.threads)
-        save_forest(out / "sim_forest.json", sim)
+        save_forest(out / "sim_forest.ckpt", sim)
         trained = train_deep(train_ds, val_ds, len(vocab), deep_cfg, seed=config.seed,
                              strategy=strategies)
         names = ["com"] + [f"fused_{s}" for s in config.early_strategies]
@@ -335,12 +337,12 @@ def _run_once(corpus, config: RunConfig, out: Path, until: str,
 
     sweep = _stage("sweep", _sweep)
     best = sweep.best
-    artifacts = {"sim": "sim_forest.json", "com": "com.ckpt", "vocab": "vocab.txt",
+    artifacts = {"sim": "sim_forest.ckpt", "com": "com.ckpt", "vocab": "vocab.txt",
                  "features": "features.csv", "train_ids": "train_ids.txt"}
     if best.early != "none":
         artifacts["early_model"] = f"fused_{best.early}.ckpt"
     manifest = {
-        "format": "jitdp-bundle v1",
+        "format": BUNDLE_FORMAT,
         "provenance": provenance,
         "early": best.early,
         "late": best.late,
@@ -445,13 +447,21 @@ def load_bundle(manifest_path) -> LoadedBundle:
     base = manifest_path.parent
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
-    if manifest.get("format") != "jitdp-bundle v1":
+    if manifest.get("format") != BUNDLE_FORMAT:
         raise DataError(f"unsupported bundle format: {manifest.get('format')!r}")
-    for key, rel in manifest["artifacts"].items():
+    artifacts = manifest["artifacts"]
+    for key, rel in artifacts.items():
         actual = _sha256_file(base / rel)
         if actual != manifest["checksums"][key]:
             raise DataError(f"provenance mismatch: artifact '{key}' ({rel}) does not match "
                             f"the bundle manifest checksum")
+
+    def load(key, loader, **kwargs):
+        try:
+            return loader(base / artifacts[key], **kwargs)
+        except ValueError as exc:
+            raise DataError(f"malformed artifact '{key}' ({artifacts[key]}): {exc}") from exc
+
     stats_d = manifest["stats"]
     if stats_d["provenance"] != manifest["provenance"]:
         raise DataError("provenance mismatch: feature statistics come from a different run")
@@ -459,16 +469,16 @@ def load_bundle(manifest_path) -> LoadedBundle:
     dc["windows"] = tuple(dc["windows"])
     cfg = DeepConfig(**dc)
     shape = TextShape(**manifest["text_shape"])
-    vocab = load_vocab(base / manifest["artifacts"]["vocab"], provenance=manifest["provenance"])
+    vocab = load("vocab", load_vocab, provenance=manifest["provenance"])
     early = manifest["early"]
-    deep = [load_params(base / manifest["artifacts"]["com"])]
+    deep = [load("com", load_params)]
     if early != "none":
-        deep.append(load_params(base / manifest["artifacts"]["early_model"]))
+        deep.append(load("early_model", load_params))
     return LoadedBundle(
         early=early,
         late=manifest["late"],
         weights=None if manifest["weights"] is None else tuple(manifest["weights"]),
-        sim=load_forest(base / manifest["artifacts"]["sim"]),
+        sim=load("sim", load_forest),
         deep_params=stack_params(deep),
         vocab=vocab,
         stats=TrainStats(mean=np.array(stats_d["mean"]), std=np.array(stats_d["std"]),

@@ -12,7 +12,6 @@ over all 14 features and one over the added-lines count alone.
 
 from __future__ import annotations
 
-import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FEATURE_NAMES
+from .nn import load_params, save_params
 
-# node tuple layout: (feature, threshold, left, right, p_clean, p_defective);
-# leaves use feature = -1 and children = -1, decisions go left when
-# value <= threshold.
+# node table row layout: (feature, threshold, left, right, p_clean,
+# p_defective), children numbered within the tree; leaves use feature = -1
+# and children = -1, decisions go left when value <= threshold.
 _LEAF = -1
 
 # Rows walked together. It bounds the (rows, trees) work arrays: a whole
@@ -36,24 +36,29 @@ class ForestConfig:
     n_trees: int = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForestModel:
-    """The trees as node tuples, plus a flat array form derived once.
+    """The trees as one float64 node table, laid end to end, and each
+    tree's node count; the walk arrays are derived from them once.
 
-    The array form numbers the nodes of all trees consecutively. `_feature`,
+    The walk numbers the nodes of all trees consecutively. `_feature`,
     `_threshold` and `_p_defective` are per node; `_child[2 * node +
     go_left]` is the next node, and a leaf's children are itself. `_roots`
     are the trees' first nodes and `_depth` the longest root-to-leaf path.
     """
 
-    trees: tuple
+    nodes: np.ndarray  # (n_nodes, 6), rows in the node table layout
+    tree_sizes: np.ndarray  # int64, one node count per tree
     n_features: int
     seed: int
 
+    @property
+    def trees(self) -> list:
+        """Each tree's rows of the node table."""
+        return [self.nodes[a:a + n] for a, n in zip(self._roots.tolist(), self.tree_sizes.tolist())]
+
     def __post_init__(self):
-        nodes = np.array([node for tree in self.trees for node in tree],
-                         dtype=np.float64).reshape(-1, 6)
-        sizes = np.array([len(tree) for tree in self.trees], dtype=np.int64)
+        nodes, sizes = self.nodes, self.tree_sizes
         roots = np.cumsum(sizes) - sizes
         offset = np.repeat(roots, sizes)
         leaf = nodes[:, 0] == _LEAF
@@ -170,7 +175,7 @@ def _grow_trees(xt, ranks, y, seeds) -> list:
     n_features = len(xt) // n
     n_consider = max(1, int(np.sqrt(n_features)))
     rngs = [np.random.default_rng(s) for s in seeds]
-    # each tree's node tuples laid end to end, six values a node
+    # each tree's node table rows laid end to end, six values a node
     flats = [[] for _ in seeds]
     # pending nodes, the next one last: (rows, positives, index in the flat
     # list of the parent's child field, or -1 for the root)
@@ -194,7 +199,7 @@ def _grow_trees(xt, ranks, y, seeds) -> list:
         if impure:
             _split_nodes(xt, ranks, y, n_consider, impure, np.array(perms))
         live = [t for t in live if stacks[t]]
-    return [tuple(zip(*[iter(flat)] * 6)) for flat in flats]
+    return [np.array(flat, dtype=np.float64).reshape(-1, 6) for flat in flats]
 
 
 def _split_nodes(xt, ranks, y, n_consider, impure, perm):
@@ -268,7 +273,9 @@ def train_forest(x, y, config: ForestConfig = ForestConfig(), seed: int = 0,
             grown = list(pool.map(lambda group: _grow_trees(xt, ranks, y, group), groups))
     else:
         grown = [_grow_trees(xt, ranks, y, seeds)]
-    return ForestModel(trees=tuple(tree for group in grown for tree in group),
+    trees = [tree for group in grown for tree in group]
+    return ForestModel(nodes=np.concatenate([np.empty((0, 6)), *trees]),
+                       tree_sizes=np.array([len(tree) for tree in trees], dtype=np.int64),
                        n_features=x.shape[1], seed=seed)
 
 
@@ -308,32 +315,19 @@ def forest_predict_many(model: ForestModel, rows) -> np.ndarray:
     return out
 
 
-FOREST_FORMAT = "jitdp-forest v1"
-
-
 def save_forest(path, model: ForestModel) -> None:
-    # Only one-shot json.dumps runs the C encoder (json.dump streams through
-    # the pure-Python one); one call per tree holds one tree's text at a
-    # time, where one call for the forest would hold all of it.
-    head = json.dumps({"format": FOREST_FORMAT, "n_features": model.n_features,
-                       "seed": model.seed, "trees": []})
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(head[: -len("]}")])
-        for i, tree in enumerate(model.trees):
-            handle.write((", " if i else "") + json.dumps([list(node) for node in tree]))
-        handle.write("]}")
+    """The node table, tree sizes, feature count and seed as one checkpoint."""
+    save_params(path, {"nodes": model.nodes, "tree_sizes": model.tree_sizes,
+                       "n_features": np.float64(model.n_features), "seed": np.float64(model.seed)})
 
 
 def load_forest(path) -> ForestModel:
-    with open(path, encoding="utf-8") as handle:
-        obj = json.load(handle)
-    if obj.get("format") != FOREST_FORMAT:
-        raise ValueError(f"unsupported forest format: {obj.get('format')!r}")
-    trees = tuple(
-        tuple((int(n[0]), float(n[1]), int(n[2]), int(n[3]), float(n[4]), float(n[5])) for n in tree)
-        for tree in obj["trees"]
-    )
-    return ForestModel(trees=trees, n_features=int(obj["n_features"]), seed=int(obj["seed"]))
+    params = load_params(path)
+    if set(params) != {"nodes", "tree_sizes", "n_features", "seed"} \
+            or params["nodes"].shape != (int(params["tree_sizes"].sum()), 6):
+        raise ValueError(f"not a forest checkpoint: arrays {sorted(params)}")
+    return ForestModel(nodes=params["nodes"], tree_sizes=params["tree_sizes"].astype(np.int64),
+                       n_features=int(params["n_features"]), seed=int(params["seed"]))
 
 
 # ---------------------------------------------------------------------------

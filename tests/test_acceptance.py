@@ -330,7 +330,7 @@ def test_criterion_7_reference_ratio_arithmetic():
 
 REPRODUCIBLE_FILES = ("metrics.json", "metrics.csv", "predictions.csv",
                       "sweep_log.csv", "features.csv", "com_train_log.csv",
-                      "com.ckpt", "sim_forest.json", "fused_gmf.ckpt")
+                      "com.ckpt", "sim_forest.ckpt", "fused_gmf.ckpt")
 
 
 def test_criterion_8_reproducibility(desk_scale_run):

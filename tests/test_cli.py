@@ -2,7 +2,9 @@
 `evaluate` run is shared across the module; commands are invoked in-process
 through main() so exit codes are observable."""
 
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +46,7 @@ def run_dir(tmp_path_factory, corpus_path):
 
 EXPECTED_ARTIFACTS = {
     "config.json", "features.csv", "train_ids.txt", "vocab.txt",
-    "sim_forest.json", "com.ckpt", "com_train_log.csv",
+    "sim_forest.ckpt", "com.ckpt", "com_train_log.csv",
     "fused_sc.ckpt", "fused_sc_train_log.csv", "fused_tc.ckpt",
     "fused_tc_train_log.csv", "fused_amf.ckpt", "fused_amf_train_log.csv",
     "fused_gmf.ckpt", "fused_gmf_train_log.csv", "sweep_log.csv",
@@ -162,18 +164,47 @@ class TestPredictCommand:
                      "--corpus", str(path)]) == 0
         assert capsys.readouterr().out == out.read_text()
 
-    def test_tampered_artifact_is_provenance_error(self, run_dir, tmp_path, corpus_path):
-        import shutil
-
+    def test_tampered_artifact_is_provenance_error(self, run_dir, tmp_path, corpus_path, capsys):
         clone = tmp_path / "clone"
         shutil.copytree(run_dir, clone)
-        forest = clone / "sim_forest.json"
-        obj = json.loads(forest.read_text())
-        obj["seed"] = 999
-        forest.write_text(json.dumps(obj))
+        forest = clone / "sim_forest.ckpt"
+        blob = bytearray(forest.read_bytes())
+        blob[blob.index(b"\n---\n") + 5] ^= 1  # first payload byte
+        forest.write_bytes(bytes(blob))
         code = main(["predict", "--bundle", str(clone / "bundle.json"),
                      "--corpus", str(corpus_path), "--out", str(tmp_path / "p.csv")])
         assert code == 2
+        assert "provenance mismatch: artifact 'sim'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["garbage checkpoint", "sim entry names com.ckpt"])
+    def test_malformed_artifact_is_data_error(self, run_dir, tmp_path, corpus_path, case, capsys):
+        """Checksums match, so only loading the artifact can find the fault."""
+        clone = tmp_path / "clone"
+        shutil.copytree(run_dir, clone)
+        manifest = json.loads((clone / "bundle.json").read_text())
+        if case == "garbage checkpoint":
+            key = "com"
+            (clone / "com.ckpt").write_bytes(b"garbage")
+        else:
+            key = "sim"
+            manifest["artifacts"]["sim"] = "com.ckpt"
+        rel = manifest["artifacts"][key]
+        manifest["checksums"][key] = hashlib.sha256((clone / rel).read_bytes()).hexdigest()
+        (clone / "bundle.json").write_text(json.dumps(manifest))
+        code = main(["predict", "--bundle", str(clone / "bundle.json"),
+                     "--corpus", str(corpus_path), "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert f"malformed artifact '{key}' ({rel})" in capsys.readouterr().err
+
+    def test_v1_bundle_is_data_error(self, run_dir, tmp_path, corpus_path, capsys):
+        clone = tmp_path / "clone"
+        shutil.copytree(run_dir, clone)
+        manifest = json.loads((clone / "bundle.json").read_text())
+        (clone / "bundle.json").write_text(json.dumps(manifest | {"format": "jitdp-bundle v1"}))
+        code = main(["predict", "--bundle", str(clone / "bundle.json"),
+                     "--corpus", str(corpus_path)])
+        assert code == 2
+        assert "unsupported bundle format: 'jitdp-bundle v1'" in capsys.readouterr().err
 
 
 class TestExplainCommand:

@@ -324,23 +324,19 @@ class TestClassifier:
 
 class TestCrossEntropy:
     def test_even_split_gives_ln2(self):
-        loss, _ = nn.cross_entropy(np.array([0.5, 0.5]), label=1)
+        loss, _ = nn.cross_entropy_batch(np.array([[0.5, 0.5]]), np.array([1]))
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_confident_correct_goes_to_zero(self):
-        loss, _ = nn.cross_entropy(np.array([1e-9, 1.0 - 1e-9]), label=1)
+        loss, _ = nn.cross_entropy_batch(np.array([[1e-9, 1.0 - 1e-9]]), np.array([1]))
         assert loss < 1e-8
 
     def test_weight_scales_loss_linearly(self):
-        probs = np.array([0.3, 0.7])
-        base, base_grad = nn.cross_entropy(probs, 1, (1.0, 1.0))
-        double, double_grad = nn.cross_entropy(probs, 1, (1.0, 2.0))
+        probs, labels = np.array([[0.3, 0.7]]), np.array([1])
+        base, base_grad = nn.cross_entropy_batch(probs, labels, (1.0, 1.0))
+        double, double_grad = nn.cross_entropy_batch(probs, labels, (1.0, 2.0))
         assert double == pytest.approx(2 * base, abs=1e-12)
         assert np.allclose(double_grad, 2 * base_grad, atol=1e-12)
-
-    def test_non_binary_label_rejected(self):
-        with pytest.raises(ValueError):
-            nn.cross_entropy(np.array([0.5, 0.5]), label=2)
 
     def test_batch_mean_and_per_example_weights(self):
         probs = np.array([[0.8, 0.2], [0.4, 0.6]])
@@ -563,6 +559,12 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="checksum"):
+            nn.load_params(path)
+
+    def test_checksum_line_without_digest_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"jitdp-ckpt v1\nw 2\nchecksum\n---\n" + bytes(16))
         with pytest.raises(ValueError, match="checksum"):
             nn.load_params(path)
 

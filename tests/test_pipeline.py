@@ -56,7 +56,7 @@ class TestThreads:
                             threads=threads, **TINY)
             run_pipeline(cfg)
             outs.append(out)
-        for name in ("metrics.json", "sim_forest.json", "predictions.csv"):
+        for name in ("metrics.json", "sim_forest.ckpt", "predictions.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 

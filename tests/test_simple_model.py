@@ -1,7 +1,5 @@
 """Random forest and logistic baseline tests."""
 
-import dataclasses
-import json
 from unittest import mock
 
 import numpy as np
@@ -19,6 +17,7 @@ from jitdp.corpus import (
 )
 from jitdp.evaluation import roc_auc
 from jitdp.features import feature_matrix, featurize_corpus
+from jitdp.nn import load_params, save_params
 from jitdp.simple_model import (
     ADDED_LINES_MASK,
     ForestConfig,
@@ -31,6 +30,21 @@ from jitdp.simple_model import (
     train_forest,
     train_logistic,
 )
+
+
+def _forest(trees, n_features=14, seed=0):
+    """A ForestModel from node tuples, one sequence of them per tree."""
+    nodes = np.array([node for tree in trees for node in tree], dtype=np.float64).reshape(-1, 6)
+    return ForestModel(nodes=nodes, tree_sizes=np.array([len(t) for t in trees], dtype=np.int64),
+                       n_features=n_features, seed=seed)
+
+
+def _same_forest(a, b):
+    """Bit for bit: node tables, tree sizes, feature count and seed."""
+    return (a.nodes.dtype == b.nodes.dtype == np.float64 and a.nodes.shape == b.nodes.shape
+            and a.nodes.tobytes() == b.nodes.tobytes()
+            and a.tree_sizes.tolist() == b.tree_sizes.tolist()
+            and (a.n_features, a.seed) == (b.n_features, b.seed))
 
 
 def _separable_1d(n=200, seed=0, noise_column=True):
@@ -73,13 +87,13 @@ class TestTrainForest:
         x, y = _separable_1d(150, seed=2)
         a = train_forest(x, y, seed=9)
         b = train_forest(x, y, seed=9)
-        assert a.trees == b.trees
+        assert _same_forest(a, b)
 
     def test_threads_do_not_change_result(self):
         x, y = _separable_1d(120, seed=5)
         a = train_forest(x, y, seed=9, threads=1)
         b = train_forest(x, y, seed=9, threads=4)
-        assert a.trees == b.trees
+        assert _same_forest(a, b)
 
     def test_non_finite_features_rejected(self):
         x, y = _separable_1d(60)
@@ -180,17 +194,15 @@ class TestLockstepGrowth:
         y[:4] = (0, 1, 0, 1)
         with mock.patch.object(simple_model, "_SPLIT_BLOCK", block):
             model = train_forest(x, y, ForestConfig(n_trees=n_trees), seed=seed, threads=threads)
-        assert model.trees == _recursive_forest(x, y, n_trees, seed)
-        assert [[tuple(map(type, node)) for node in tree] for tree in model.trees] == \
-            [[(int, float, int, int, float, float)] * len(tree) for tree in model.trees]
+        assert _same_forest(model, _forest(_recursive_forest(x, y, n_trees, seed), n_features, seed))
 
     def test_only_constant_columns_but_one(self):
         x = np.full((40, 14), 3.0)
         x[:, 13] = np.arange(40) % 5
         y = (x[:, 13] >= 2).astype(np.int64)
         model = train_forest(x, y, ForestConfig(n_trees=8), seed=1)
-        assert model.trees == _recursive_forest(x, y, 8, 1)
-        assert {node[0] for tree in model.trees for node in tree} == {-1, 13}
+        assert _same_forest(model, _forest(_recursive_forest(x, y, 8, 1), seed=1))
+        assert set(model.nodes[:, 0].tolist()) == {-1, 13}
 
     def test_acceptance_training_rows(self):
         """The forest of the acceptance run, on its undersampled train rows."""
@@ -205,13 +217,12 @@ class TestLockstepGrowth:
         x = feature_matrix(vectors[i] for i in balanced)
         y = np.array([labels[i] for i in balanced])
         model = train_forest(x, y, ForestConfig(n_trees=20), seed=5, threads=3)
-        assert model.trees == _recursive_forest(x, y, 20, 5)
+        assert _same_forest(model, _forest(_recursive_forest(x, y, 20, 5), seed=5))
 
 
 def _hand_model(leaf_probs):
     """Stump-free forest: every tree is one leaf with a fixed probability."""
-    trees = tuple(((-1, 0.0, -1, -1, 1 - p, p),) for p in leaf_probs)
-    return ForestModel(trees=trees, n_features=14, seed=0)
+    return _forest([[(-1, 0.0, -1, -1, 1 - p, p)] for p in leaf_probs])
 
 
 class TestForestPredict:
@@ -231,7 +242,7 @@ class TestForestPredict:
         assert 0.0 <= base <= 1.0
         # appending a tree that predicts p moves the mean toward p
         extra = _hand_model([1.0]).trees[0]
-        grown = ForestModel(trees=model.trees + (extra,), n_features=14, seed=3)
+        grown = _forest([*model.trees, extra], seed=3)
         assert forest_predict(grown, probe) == pytest.approx((base * 10 + 1.0) / 11)
 
     def test_matches_manual_tree_walk(self):
@@ -241,7 +252,7 @@ class TestForestPredict:
         def walk(nodes, row):
             node = nodes[0]
             while node[0] != -1:
-                node = nodes[node[2]] if row[node[0]] <= node[1] else nodes[node[3]]
+                node = nodes[int(node[2])] if row[int(node[0])] <= node[1] else nodes[int(node[3])]
             return node[5]
 
         for row in x[:10]:
@@ -255,19 +266,20 @@ class TestForestPredict:
 
 
 def _scalar_walk(tree, row):
-    """Oracle: follow one tree's node tuples from the root to a leaf."""
+    """Oracle: follow one tree's nodes from the root to a leaf."""
     node = tree[0]
     while node[0] != -1:
-        node = tree[node[2]] if row[node[0]] <= node[1] else tree[node[3]]
+        node = tree[int(node[2])] if row[int(node[0])] <= node[1] else tree[int(node[3])]
     return node[5]
 
 
-def _scalar_predict(model, rows):
-    return np.array([np.mean([_scalar_walk(t, r) for t in model.trees]) for r in rows])
+def _scalar_predict(trees, rows):
+    """Oracle: the mean scalar walk over trees, node tuples or node table rows."""
+    return np.array([np.mean([_scalar_walk(t, r) for t in trees]) for r in rows])
 
 
 def _thresholds(model):
-    return np.array([node[1] for tree in model.trees for node in tree if node[0] != -1])
+    return model.nodes[model.nodes[:, 0] != -1, 1]
 
 
 class TestArrayForest:
@@ -282,18 +294,20 @@ class TestArrayForest:
         y = (x[:, 4] + rng.normal(size=n) > 0).astype(int)
         y[:2] = (0, 1)
         model = train_forest(x, y, ForestConfig(n_trees=n_trees), seed=seed)
+        trees = _recursive_forest(x, y, n_trees, seed)
+        assert _same_forest(model, _forest(trees, seed=seed))
         rows = rng.normal(size=(n_rows, 14))
         thresholds = _thresholds(model)
         if thresholds.size:  # values that sit exactly on a split go left
             on_split = rng.random(rows.shape) < 0.5
             rows[on_split] = rng.choice(thresholds, size=int(on_split.sum()))
-        assert np.array_equal(forest_predict_many(model, rows), _scalar_predict(model, rows))
-        assert forest_predict(model, rows[0]) == _scalar_predict(model, rows[:1])[0]
+        assert np.array_equal(forest_predict_many(model, rows), _scalar_predict(trees, rows))
+        assert forest_predict(model, rows[0]) == _scalar_predict(trees, rows[:1])[0]
 
     def test_value_equal_to_threshold_goes_left(self):
         stump = ((2, 0.5, 1, 2, 0.5, 0.5), (-1, 0.0, -1, -1, 1.0, 0.0),
                  (-1, 0.0, -1, -1, 0.0, 1.0))
-        model = ForestModel(trees=(stump,), n_features=14, seed=0)
+        model = _forest([stump])
         rows = np.zeros((3, 14))
         rows[:, 2] = (0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0))
         assert np.array_equal(forest_predict_many(model, rows), [0.0, 1.0, 0.0])
@@ -304,7 +318,7 @@ class TestArrayForest:
     def test_single_leaf_forests(self, probs, n_rows):
         model = _hand_model(probs)
         rows = np.zeros((n_rows, 14))
-        assert np.array_equal(forest_predict_many(model, rows), _scalar_predict(model, rows))
+        assert np.array_equal(forest_predict_many(model, rows), _scalar_predict(model.trees, rows))
 
     @pytest.fixture(scope="class")
     def trained(self):
@@ -316,7 +330,7 @@ class TestArrayForest:
         rows = np.random.default_rng(n_rows).normal(size=(n_rows, 14))
         got = forest_predict_many(trained, rows)
         assert got.shape == (n_rows,)
-        assert np.array_equal(got, _scalar_predict(trained, rows))
+        assert np.array_equal(got, _scalar_predict(trained.trees, rows))
 
     def test_zero_rows_give_empty_array(self, trained):
         assert forest_predict_many(trained, []).shape == (0,)
@@ -328,17 +342,17 @@ class TestArrayForest:
             forest_predict_many(trained, np.zeros(shape))
 
     def test_loaded_forest_walks_the_same(self, trained, tmp_path):
-        save_forest(tmp_path / "f.json", trained)
+        save_forest(tmp_path / "f.ckpt", trained)
         rows = np.random.default_rng(2).normal(size=(300, 14))
-        loaded = load_forest(tmp_path / "f.json")
-        assert np.array_equal(forest_predict_many(loaded, rows), _scalar_predict(trained, rows))
+        loaded = load_forest(tmp_path / "f.ckpt")
+        assert np.array_equal(forest_predict_many(loaded, rows), _scalar_predict(trained.trees, rows))
 
 
 class TestForestSerialization:
     def test_round_trip_identical_predictions(self, tmp_path):
         x, y = _separable_1d(100, seed=8)
         model = train_forest(x, y, ForestConfig(n_trees=20), seed=5)
-        path = tmp_path / "forest.json"
+        path = tmp_path / "forest.ckpt"
         save_forest(path, model)
         loaded = load_forest(path)
         assert np.array_equal(forest_predict_many(loaded, x), forest_predict_many(model, x))
@@ -351,30 +365,39 @@ class TestForestSerialization:
         y = rng.integers(0, 2, size=n)
         y[:4] = (0, 0, 1, 1)  # training needs two rows of each class
         model = train_forest(x, y, ForestConfig(n_trees=n_trees), seed=seed)
-        path = tmp_path_factory.mktemp("forest") / "forest.json"
+        path = tmp_path_factory.mktemp("forest") / "forest.ckpt"
         save_forest(path, model)
         loaded = load_forest(path)
-        assert loaded == model
-        assert [[tuple(map(type, node)) for node in tree] for tree in loaded.trees] == \
-            [[tuple(map(type, node)) for node in tree] for tree in model.trees]
+        assert _same_forest(loaded, model)
+        assert _same_forest(loaded, _forest(_recursive_forest(x, y, n_trees, seed), seed=seed))
         assert np.array_equal(forest_predict_many(loaded, x), forest_predict_many(model, x))
 
     @pytest.mark.parametrize("n_trees", [0, 1, 7])
-    def test_file_is_the_forest_as_one_json_document(self, n_trees, tmp_path):
+    def test_file_is_the_forest_as_one_checkpoint(self, n_trees, tmp_path):
         x, y = _separable_1d(60, seed=9)
         model = train_forest(x, y, ForestConfig(n_trees=max(n_trees, 1)), seed=4)
-        model = dataclasses.replace(model, trees=model.trees[:n_trees])
-        path = tmp_path / "forest.json"
+        model = _forest(model.trees[:n_trees], seed=model.seed)
+        path = tmp_path / "forest.ckpt"
         save_forest(path, model)
-        assert path.read_text(encoding="utf-8") == json.dumps({
-            "format": simple_model.FOREST_FORMAT, "n_features": model.n_features, "seed": model.seed,
-            "trees": [[list(node) for node in tree] for tree in model.trees]})
+        params = load_params(path)
+        assert sorted(params) == ["n_features", "nodes", "seed", "tree_sizes"]
+        assert params["nodes"].shape == (int(model.tree_sizes.sum()), 6)
+        assert params["nodes"].tobytes() == model.nodes.tobytes()
+        assert params["tree_sizes"].tolist() == [len(tree) for tree in model.trees]
+        assert (params["n_features"], params["seed"]) == (14, 4)
+        assert _same_forest(load_forest(path), model)
 
     def test_bad_format_rejected(self, tmp_path):
-        path = tmp_path / "forest.json"
-        path.write_text('{"format": "other"}')
-        with pytest.raises(ValueError, match="format"):
+        path = tmp_path / "forest.ckpt"
+        path.write_text('{"format": "jitdp-forest v1"}')
+        with pytest.raises(ValueError, match="checkpoint version"):
             load_forest(path)
+        for params in ({"clf_wo": np.zeros(2)},
+                       {"nodes": np.zeros((3, 6)), "tree_sizes": np.array([2.0]),
+                        "n_features": np.float64(14), "seed": np.float64(0)}):
+            save_params(path, params)
+            with pytest.raises(ValueError, match="not a forest checkpoint"):
+                load_forest(path)
 
 
 class TestTrainLogistic:
