@@ -6,11 +6,11 @@ Run:  python demos/02_text_encoding.py
 """
 
 from jitdp.corpus import CommitRecord, FileChange
+from jitdp.pipeline import RunConfig
 from jitdp.textprep import (
-    MICRO_SHAPE,
     build_vocab,
     decode_ids,
-    encode_commit,
+    encode_commits,
     render_change_document,
     tokenize,
 )
@@ -39,9 +39,11 @@ vocab = build_vocab([tokenize(commit.message), doc], min_frequency=1)
 print(f"\nvocabulary: {len(vocab)} entries "
       f"(4 reserved + {len(vocab.token_to_id)} tokens)")
 
-encoded = encode_commit(commit, vocab, MICRO_SHAPE)
-print(f"message ids ({MICRO_SHAPE.l_msg} wide): {encoded.message_ids[:10]} ...")
-print(f"file matrix shape: {encoded.file_ids.shape}")
-print("decoded message prefix:", decode_ids(encoded.message_ids, vocab))
+# The desk-scale shapes: 24 message tokens, 48 tokens per file, 4 files.
+shape = RunConfig().text_shape()
+message_ids, file_ids = encode_commits([commit], vocab, shape)
+print(f"message ids ({shape.l_msg} wide): {message_ids[0, :10]} ...")
+print(f"file matrix shape: {file_ids[0].shape}")
+print("decoded message prefix:", decode_ids(message_ids[0], vocab))
 print("decoded file row starts with header:",
-      decode_ids(encoded.file_ids[0], vocab)[:6])
+      decode_ids(file_ids[0, 0], vocab)[:6])

@@ -8,11 +8,12 @@ Run:  python demos/03_train_both_models.py   (about half a minute)
 import numpy as np
 
 from jitdp.corpus import SyntheticSpec, chronological_split, synthesize_corpus, undersample
-from jitdp.deep_model import MICRO_CONFIG, build_dataset, score_dataset, train_deep
+from jitdp.deep_model import build_dataset, score_dataset, train_deep
 from jitdp.evaluation import prf1
 from jitdp.features import featurize_corpus
+from jitdp.pipeline import RunConfig
 from jitdp.simple_model import forest_predict_many, train_forest
-from jitdp.textprep import MICRO_SHAPE, build_vocab, render_change_document, tokenize
+from jitdp.textprep import build_vocab, render_change_document, tokenize
 
 spec = SyntheticSpec(size=800, feature_strength=0.6, text_strength=0.6, seed=3)
 corpus = synthesize_corpus(spec)
@@ -38,16 +39,18 @@ for i in train_ids:
     docs.append(tokenize(by_id[i].message))
     docs.extend(render_change_document(f) for f in by_id[i].files)
 vocab = build_vocab(docs)
-train_ds = build_dataset([by_id[i] for i in train_ids], vocab, MICRO_SHAPE)
-val_ds = build_dataset([by_id[i] for i in val_ids], vocab, MICRO_SHAPE)
-test_ds = build_dataset([by_id[i] for i in test_ids], vocab, MICRO_SHAPE)
+# The desk-scale setup: the default RunConfig's shapes and deep config.
+shape, deep_cfg = RunConfig().text_shape(), RunConfig().deep_config()
+train_ds = build_dataset([by_id[i] for i in train_ids], vocab, shape)
+val_ds = build_dataset([by_id[i] for i in val_ids], vocab, shape)
+test_ds = build_dataset([by_id[i] for i in test_ids], vocab, shape)
 
-params, log = train_deep(train_ds, val_ds, len(vocab), MICRO_CONFIG, seed=5)
+params, log = train_deep(train_ds, val_ds, len(vocab), deep_cfg, seed=5)
 print("epoch  loss   val-ROC  val-PR  val-F1")
 for e in log:
     print(f"{e.epoch:>5}  {e.train_loss:.3f}  {e.val_auc_roc:.3f}   "
           f"{e.val_auc_pr:.3f}   {e.val_f1:.3f}")
-deep_scores = score_dataset(params, MICRO_CONFIG, test_ds)
+deep_scores = score_dataset(params, deep_cfg, test_ds)
 
 y_test = test_ds.labels
 sim_report = prf1(sim_scores, y_test)

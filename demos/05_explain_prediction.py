@@ -9,7 +9,7 @@ import numpy as np
 from jitdp.corpus import SyntheticSpec, chronological_split, synthesize_corpus, undersample
 from jitdp.explain import explain_instance
 from jitdp.features import featurize_corpus
-from jitdp.simple_model import forest_predict, forest_predict_many, train_forest
+from jitdp.simple_model import forest_predict_many, train_forest
 
 corpus = synthesize_corpus(SyntheticSpec(size=400, feature_strength=0.9,
                                          text_strength=0.0, seed=9))
@@ -22,7 +22,7 @@ forest = train_forest(train_matrix, np.array([labels[i] for i in balanced]), see
 
 target = sorted(split.test_ids)[3]
 x = vectors[target].as_array()
-score = forest_predict(forest, x)
+score = forest_predict_many(forest, x[None])[0]
 print(f"commit {target}: defect probability {score:.3f} "
       f"(label {labels[target]})\n")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,6 @@ def _add_common(sub):
     sub.add_argument("--corpus", help="commit stream (JSON lines)")
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--seed", type=int, help="run seed")
-    sub.add_argument("--threads", type=int, help="worker threads for tree training")
 
 
 def _resolve_config(args) -> RunConfig:
@@ -61,7 +61,7 @@ def _resolve_config(args) -> RunConfig:
     else:
         config = RunConfig()
     overrides = {}
-    for key in ("corpus", "out", "seed", "threads"):
+    for key in ("corpus", "out", "seed"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
@@ -155,7 +155,7 @@ def _explain(args) -> int:
     if args.out:
         Path(args.out + ".txt").write_text(explanation.as_text() + "\n", encoding="utf-8")
         with open(args.out + ".json", "w", encoding="utf-8") as handle:
-            json.dump(explanation.as_dict(), handle, sort_keys=True, indent=1)
+            json.dump(asdict(explanation), handle, sort_keys=True, indent=1)
         print(f"explanation written to {args.out}.txt and {args.out}.json")
     else:
         print(explanation.as_text())

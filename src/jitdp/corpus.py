@@ -14,7 +14,7 @@ output for equal seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -54,9 +54,6 @@ class SplitAssignment:
     train_ids: frozenset[str]
     validation_ids: frozenset[str]
     test_ids: frozenset[str]
-
-    def all_ids(self) -> frozenset[str]:
-        return self.train_ids | self.validation_ids | self.test_ids
 
 
 # The history index subtracts timestamps in int64: any two timestamps
@@ -296,9 +293,7 @@ _FILES = ("main.py", "helpers.py", "engine.py", "parser.py", "types.py")
 class SyntheticSpec:
     """Knobs for the synthetic corpus generator.
 
-    imbalance is the clean:defective ratio (4.0 means 4:1). target_auc is an
-    optional sanity declaration: requesting separability above chance while
-    both signal strengths are zero is rejected as a degenerate spec.
+    imbalance is the clean:defective ratio (4.0 means 4:1).
     """
 
     size: int = 1000
@@ -306,8 +301,6 @@ class SyntheticSpec:
     feature_strength: float = 0.5
     text_strength: float = 0.5
     seed: int = 0
-    target_auc: float | None = None
-    author_pool: int = 12
 
     def validate(self) -> None:
         if self.size < 100:
@@ -316,13 +309,6 @@ class SyntheticSpec:
             raise ValueError("signal strengths must lie in [0, 1]")
         if self.imbalance <= 0:
             raise ValueError("imbalance ratio must be positive")
-        if (
-            self.target_auc is not None
-            and self.target_auc > 0.5
-            and self.feature_strength == 0.0
-            and self.text_strength == 0.0
-        ):
-            raise ValueError("degenerate spec: both signal strengths are 0 but target_auc > 0.5")
 
 
 _FIX_WORDS = ("fix", "bug", "patch")
@@ -353,7 +339,7 @@ def synthesize_corpus(spec: SyntheticSpec) -> list[CommitRecord]:
     labels = np.zeros(n, dtype=np.int64)
     labels[:n_defective] = 1
     rng.shuffle(labels)
-    authors = [f"dev{idx:02d}" for idx in range(spec.author_pool)]
+    authors = [f"dev{idx:02d}" for idx in range(12)]
     base_time = 1_600_000_000
     records = []
     for i in range(n):

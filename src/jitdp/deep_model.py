@@ -27,7 +27,7 @@ from .textprep import PAD_ID, TextShape, Vocab, encode_commits
 
 @dataclass(frozen=True)
 class DeepConfig:
-    """Full-scale defaults; MICRO_CONFIG is the desk-scale test variant."""
+    """Full-scale defaults; RunConfig().deep_config() is the desk-scale variant."""
 
     embed_dim: int = 64
     filters: int = 64
@@ -38,10 +38,6 @@ class DeepConfig:
     batch_size: int = 64
     epochs: int = 30
     gmf_beta: float = 1.0
-
-
-MICRO_CONFIG = DeepConfig(embed_dim=8, filters=8, hidden=32, dropout=0.25,
-                          lr=4e-3, batch_size=32, epochs=10)
 
 
 @dataclass(frozen=True)

@@ -27,20 +27,6 @@ class MetricReport:
     fn: int
     threshold: float = 0.5
 
-    def as_dict(self) -> dict:
-        return {
-            "auc_roc": self.auc_roc,
-            "auc_pr": self.auc_pr,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "threshold": self.threshold,
-        }
-
 
 @dataclass(frozen=True)
 class OverlapReport:
@@ -225,10 +211,10 @@ def cliffs_delta(a, b) -> tuple[float, str]:
     return delta, mag
 
 
-def group_metric_samples(scores, labels, k: int = 10, seed: int = 0, max_retries: int = 100):
+def group_metric_samples(scores, labels, k: int = 10, seed: int = 0):
     """AUC-ROC and AUC-PR per random near-equal group of the test set.
 
-    The partition is resampled (up to max_retries) until every group holds
+    The partition is resampled (up to 100 times) until every group holds
     both classes. Returns (roc_list, pr_list, groups) where groups is the
     list of index arrays.
     """
@@ -238,14 +224,14 @@ def group_metric_samples(scores, labels, k: int = 10, seed: int = 0, max_retries
     if n < 2 * k:
         raise ValueError(f"{n} samples cannot fill {k} groups with both classes")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(100):
         perm = rng.permutation(n)
         groups = [perm[g::k] for g in range(k)]
         if all(0 < labels[g].sum() < len(g) for g in groups):
             rocs = [roc_auc(scores[g], labels[g]) for g in groups]
             prs = [pr_auc(scores[g], labels[g]) for g in groups]
             return rocs, prs, groups
-    raise ValueError(f"no valid {k}-group partition found in {max_retries} tries")
+    raise ValueError(f"no valid {k}-group partition found in 100 tries")
 
 
 def overlap_analysis(classes_a, classes_b, labels) -> OverlapReport:

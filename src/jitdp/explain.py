@@ -32,17 +32,6 @@ class Explanation:
     fidelity: float
     intercept: float
 
-    def as_dict(self) -> dict:
-        return {
-            "fidelity": self.fidelity,
-            "intercept": self.intercept,
-            "entries": [
-                {"feature": e.feature, "condition": e.condition,
-                 "weight": e.weight, "direction": e.direction}
-                for e in self.entries
-            ],
-        }
-
     def as_text(self) -> str:
         lines = [f"{'condition':<28} {'weight':>12} direction"]
         for e in self.entries:
@@ -71,12 +60,11 @@ def _condition(name: str, idx: int, boundaries: np.ndarray) -> str:
 
 
 def explain_instance(predict_fn, x, train_features, n_samples: int = 1000,
-                     seed: int = 0, feature_names=FEATURE_NAMES,
-                     kernel_width: float | None = None, ridge: float = 1.0) -> Explanation:
+                     seed: int = 0) -> Explanation:
     """Explain the score at x (a feature vector) against the training matrix
     the quartile bins come from. predict_fn maps an (n_samples, p) matrix of
-    perturbed rows to their n_samples scores in one call. Deterministic
-    given seed."""
+    perturbed rows to their n_samples scores in one call. The kernel width
+    is 0.75 sqrt(p) and the ridge penalty 1. Deterministic given seed."""
     x = np.asarray(x, dtype=np.float64)
     train = np.asarray(train_features, dtype=np.float64)
     if train.ndim != 2 or train.shape[1] != len(x):
@@ -84,8 +72,7 @@ def explain_instance(predict_fn, x, train_features, n_samples: int = 1000,
     if np.all(train.std(axis=0) == 0):
         raise ValueError("degenerate training statistics: every feature is constant")
     p = len(x)
-    if kernel_width is None:
-        kernel_width = 0.75 * np.sqrt(p)
+    kernel_width = 0.75 * np.sqrt(p)
     rng = np.random.default_rng(seed)
 
     bins = [_quartile_bins(train[:, j]) for j in range(p)]
@@ -117,7 +104,7 @@ def explain_instance(predict_fn, x, train_features, n_samples: int = 1000,
     design = np.concatenate([np.ones((n_samples, 1)), z], axis=1)
     wd = design * kernel[:, None]
     gram = design.T @ wd
-    gram[1:, 1:] += ridge * np.eye(p)
+    gram[1:, 1:] += np.eye(p)
     coef = np.linalg.solve(gram, wd.T @ y)
     intercept, weights = float(coef[0]), coef[1:]
 
@@ -134,8 +121,8 @@ def explain_instance(predict_fn, x, train_features, n_samples: int = 1000,
 
     entries = [
         FeatureExplanation(
-            feature=feature_names[j],
-            condition=_condition(feature_names[j], int(inst_bins[j]), bins[j][0]),
+            feature=FEATURE_NAMES[j],
+            condition=_condition(FEATURE_NAMES[j], int(inst_bins[j]), bins[j][0]),
             weight=float(weights[j]),
             direction="defective" if weights[j] > 0 else "clean",
         )

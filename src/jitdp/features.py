@@ -36,8 +36,6 @@ FEATURE_NAMES = (
     "ns", "nd", "nf", "entropy", "la", "ld", "lt",
     "fix", "ndev", "age", "nuc", "exp", "rexp", "sexp",
 )
-CATEGORICAL_NAMES = ("fix",)
-CONTINUOUS_NAMES = tuple(n for n in FEATURE_NAMES if n not in CATEGORICAL_NAMES)
 _FIX_INDEX = FEATURE_NAMES.index("fix")
 _CONT_INDICES = np.array([i for i, n in enumerate(FEATURE_NAMES) if n != "fix"])
 _ROW = attrgetter(*FEATURE_NAMES)
@@ -321,7 +319,7 @@ def featurize_corpus(corpus) -> FeatureTable:
 
 @dataclass(frozen=True)
 class TrainStats:
-    mean: np.ndarray  # (13,) over CONTINUOUS_NAMES
+    mean: np.ndarray  # (13,) over the features other than fix
     std: np.ndarray
     split: str = "train"
     provenance: str = ""

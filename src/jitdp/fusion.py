@@ -263,13 +263,13 @@ def late_fuse_many(rule: LateFusionRule, score_matrix) -> np.ndarray:
     raise ValueError(f"unknown late-fusion rule '{rule.rule}'")
 
 
-def _weight_grid(n_models: int, step: int = 10):
-    """Positive integer compositions of `step`, scaled to the simplex."""
+def _weight_grid(n_models: int):
+    """Positive integer compositions of 10, scaled to the simplex."""
     grid = []
-    for combo in product(range(1, step + 1), repeat=n_models - 1):
-        last = step - sum(combo)
+    for combo in product(range(1, 11), repeat=n_models - 1):
+        last = 10 - sum(combo)
         if last >= 1:
-            grid.append(tuple(c / step for c in combo) + (last / step,))
+            grid.append(tuple(c / 10 for c in combo) + (last / 10,))
     return grid
 
 

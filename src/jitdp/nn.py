@@ -321,16 +321,13 @@ def cross_entropy_batch(probs: np.ndarray, labels: np.ndarray, class_weights=(1.
 
 
 def dropout(x: np.ndarray, rate: float, training: bool, rng=None):
-    """Inverted dropout; identity in evaluation mode. Returns (y, mask).
-    rng is a Generator or a plain int seed."""
+    """Inverted dropout; identity in evaluation mode. Returns (y, mask)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
     if not training or rate == 0.0:
         return x, np.ones_like(x)
     if rng is None:
-        raise ValueError("training-mode dropout needs an rng or seed")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+        raise ValueError("training-mode dropout needs an rng")
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
     return x * mask, mask
 

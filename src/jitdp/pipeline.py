@@ -101,7 +101,6 @@ class RunConfig:
     forest_trees: int = 100
     early_strategies: tuple = ("sc", "tc", "amf", "gmf")
     drop_rates: tuple = ()
-    threads: int = 1
 
     def deep_config(self) -> DeepConfig:
         return DeepConfig(
@@ -130,10 +129,9 @@ def config_from_dict(d: dict) -> RunConfig:
 
 def config_hash(config: RunConfig) -> str:
     """Hash of the computation-affecting fields only; where artifacts land
-    (out) and how many workers run (threads) cannot change their bytes."""
+    (out) cannot change their bytes."""
     d = config.as_dict()
     d.pop("out", None)
-    d.pop("threads", None)
     blob = json.dumps(d, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -146,9 +144,6 @@ def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(obj, handle, sort_keys=True, indent=1)
         handle.write("\n")
-
-
-STAGE_ORDER = ("load", "split", "features", "vocab", "train", "sweep", "evaluate")
 
 
 class _Provenance:
@@ -180,7 +175,7 @@ def _dataset(commits, vocab: Vocab, shape: TextShape, x_cat, x_cont):
 
 
 def _metric_row(name, report):
-    d = report.as_dict()
+    d = asdict(report)
     d["model"] = name
     return d
 
@@ -286,7 +281,7 @@ def _run_once(corpus, config: RunConfig, out: Path, until: str,
         return
 
     vocab = _stage("vocab", build_vocab, _train_documents([by_id[i] for i in train_ids]),
-                   config.vocab_max_size, config.vocab_min_frequency, "train", provenance)
+                   config.vocab_max_size, config.vocab_min_frequency)
     save_vocab(out / "vocab.txt", vocab)
     prov.note("vocab", f"{len(vocab)} entries from train messages and change documents")
 
@@ -306,7 +301,7 @@ def _run_once(corpus, config: RunConfig, out: Path, until: str,
         x_train = x_all[rows(balanced)]
         y_train = np.array([labels[i] for i in balanced])
         sim = train_forest(x_train, y_train, ForestConfig(n_trees=config.forest_trees),
-                           seed=config.seed, threads=config.threads)
+                           seed=config.seed)
         save_forest(out / "sim_forest.ckpt", sim)
         trained = train_deep(train_ds, val_ds, len(vocab), deep_cfg, seed=config.seed,
                              strategy=strategies)
@@ -408,7 +403,7 @@ def _run_once(corpus, config: RunConfig, out: Path, until: str,
                                       for c in cols) + "\n")
         _write_json(out / "metrics.json", {
             "provenance": provenance,
-            "reports": {k: v.as_dict() for k, v in sorted(reports.items())},
+            "reports": {k: asdict(v) for k, v in sorted(reports.items())},
             "analysis": analysis,
         })
         with open(out / "predictions.csv", "w", encoding="utf-8") as handle:
@@ -443,7 +438,21 @@ class LoadedBundle:
 
 
 def load_bundle(manifest_path) -> LoadedBundle:
+    """The bundle a pipeline run wrote. A manifest or artifact that cannot
+    be read, a manifest that is not JSON or lacks an entry, and an artifact
+    that does not load are each a DataError naming the file."""
     manifest_path = Path(manifest_path)
+    try:
+        return _load_bundle(manifest_path)
+    except OSError as exc:
+        raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"bundle manifest {manifest_path} is not valid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise DataError(f"bundle manifest {manifest_path} has no entry {exc}") from exc
+
+
+def _load_bundle(manifest_path: Path) -> LoadedBundle:
     base = manifest_path.parent
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
@@ -456,9 +465,9 @@ def load_bundle(manifest_path) -> LoadedBundle:
             raise DataError(f"provenance mismatch: artifact '{key}' ({rel}) does not match "
                             f"the bundle manifest checksum")
 
-    def load(key, loader, **kwargs):
+    def load(key, loader):
         try:
-            return loader(base / artifacts[key], **kwargs)
+            return loader(base / artifacts[key])
         except ValueError as exc:
             raise DataError(f"malformed artifact '{key}' ({artifacts[key]}): {exc}") from exc
 
@@ -469,7 +478,7 @@ def load_bundle(manifest_path) -> LoadedBundle:
     dc["windows"] = tuple(dc["windows"])
     cfg = DeepConfig(**dc)
     shape = TextShape(**manifest["text_shape"])
-    vocab = load("vocab", load_vocab, provenance=manifest["provenance"])
+    vocab = load("vocab", load_vocab)
     early = manifest["early"]
     deep = [load("com", load_params)]
     if early != "none":
@@ -556,8 +565,8 @@ def explain_commit(bundle: LoadedBundle, corpus, commit_id: str,
 def read_feature_table(path) -> tuple:
     """(ids, matrix, labels) from a features.csv written by the pipeline."""
     with open(path, encoding="utf-8") as handle:
-        header = handle.readline().strip().split(",")
-        assert header[0] == "commit_id"
+        if handle.readline().strip().split(",")[0] != "commit_id":
+            raise DataError(f"{path} is not a feature table: its header must start with commit_id")
         ids, rows, labels = [], [], []
         for line in handle:
             parts = line.rstrip("\n").split(",")

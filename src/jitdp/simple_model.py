@@ -13,7 +13,6 @@ over all 14 features and one over the added-lines count alone.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,11 +247,9 @@ def _split_nodes(xt, ranks, y, n_consider, impure, perm):
         stack.append((left[left_end[i] - go_n[i] : left_end[i]].copy(), go_pos[i], at + 2))
 
 
-def train_forest(x, y, config: ForestConfig = ForestConfig(), seed: int = 0,
-                 threads: int = 1) -> ForestModel:
+def train_forest(x, y, config: ForestConfig = ForestConfig(), seed: int = 0) -> ForestModel:
     """Fit the ensemble; tree t uses its own rng seeded seed + t for both
-    the bootstrap draw and the per-node feature subsets. With threads > 1,
-    each worker grows one contiguous group of the trees."""
+    the bootstrap draw and the per-node feature subsets."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     classes, counts = np.unique(y, return_counts=True)
@@ -265,26 +262,10 @@ def train_forest(x, y, config: ForestConfig = ForestConfig(), seed: int = 0,
     xt = np.ascontiguousarray(x.T).ravel()
     # per feature, each row's rank among the column's distinct values
     ranks = np.concatenate([np.unique(col, return_inverse=True)[1] for col in x.T])
-    seeds = range(seed, seed + config.n_trees)
-    k = max(1, min(threads, config.n_trees))
-    groups = [seeds[i * len(seeds) // k : (i + 1) * len(seeds) // k] for i in range(k)]
-    if k > 1:
-        with ThreadPoolExecutor(max_workers=k) as pool:
-            grown = list(pool.map(lambda group: _grow_trees(xt, ranks, y, group), groups))
-    else:
-        grown = [_grow_trees(xt, ranks, y, seeds)]
-    trees = [tree for group in grown for tree in group]
+    trees = _grow_trees(xt, ranks, y, range(seed, seed + config.n_trees))
     return ForestModel(nodes=np.concatenate([np.empty((0, 6)), *trees]),
                        tree_sizes=np.array([len(tree) for tree in trees], dtype=np.int64),
                        n_features=x.shape[1], seed=seed)
-
-
-def forest_predict(model: ForestModel, x) -> float:
-    """Defect probability: mean of per-tree leaf frequencies."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise ValueError(f"expected {model.n_features} features, got shape {x.shape}")
-    return float(forest_predict_many(model, x[None, :])[0])
 
 
 def forest_predict_many(model: ForestModel, rows) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import CommitRecord, FileChange
+from .corpus import FileChange
 
 PAD_ID = 0
 UNK_ID = 1
@@ -55,16 +55,9 @@ class TextShape:
     files: int = 8
 
 
-MICRO_SHAPE = TextShape(l_msg=24, l_code=48, files=4)
-
-
 @dataclass(frozen=True)
 class Vocab:
     token_to_id: dict
-    max_size: int
-    min_frequency: int
-    split: str = "train"
-    provenance: str = ""
     # token_to_id plus the two headers, which take precedence over any body
     # entry of the same text; every other token maps to UNK_ID.
     table: dict = field(init=False, repr=False, compare=False)
@@ -87,8 +80,7 @@ class Vocab:
         return table
 
 
-def build_vocab(documents, max_size: int = 20_000, min_frequency: int = 2,
-                split: str = "train", provenance: str = "") -> Vocab:
+def build_vocab(documents, max_size: int = 20_000, min_frequency: int = 2) -> Vocab:
     """Keep the most frequent tokens, ties broken lexicographically, up to
     max_size total entries including the 4 reserved ids. Must only ever see
     training-split documents."""
@@ -104,15 +96,7 @@ def build_vocab(documents, max_size: int = 20_000, min_frequency: int = 2,
     eligible.sort()
     kept = eligible[: max(0, max_size - 4)]
     token_to_id = {t: i + 4 for i, (_, t) in enumerate(kept)}
-    return Vocab(token_to_id=token_to_id, max_size=max_size,
-                 min_frequency=min_frequency, split=split, provenance=provenance)
-
-
-@dataclass(frozen=True)
-class EncodedCommit:
-    message_ids: np.ndarray  # (l_msg,) int64
-    file_ids: np.ndarray  # (files, l_code) int64
-    shape: TextShape
+    return Vocab(token_to_id=token_to_id)
 
 
 def encode_commits(commits, vocab: Vocab, shape: TextShape) -> tuple:
@@ -131,12 +115,6 @@ def encode_commits(commits, vocab: Vocab, shape: TextShape) -> tuple:
             ids = [table.get(t, UNK_ID) for t in render_change_document(file)[: shape.l_code]]
             file_ids[i, row, : len(ids)] = ids
     return msg, file_ids
-
-
-def encode_commit(commit: CommitRecord, vocab: Vocab, shape: TextShape) -> EncodedCommit:
-    """encode_commits of one commit."""
-    msg, file_ids = encode_commits([commit], vocab, shape)
-    return EncodedCommit(message_ids=msg[0], file_ids=file_ids[0], shape=shape)
 
 
 def decode_ids(ids, vocab: Vocab) -> list[str]:
@@ -164,11 +142,8 @@ def save_vocab(path, vocab: Vocab) -> None:
             handle.write(token + "\n")
 
 
-def load_vocab(path, max_size: int = 20_000, min_frequency: int = 2,
-               split: str = "train", provenance: str = "") -> Vocab:
+def load_vocab(path) -> Vocab:
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().split("\n")
     body = [ln for ln in lines[4:] if ln != ""]
-    token_to_id = {t: i + 4 for i, t in enumerate(body)}
-    return Vocab(token_to_id=token_to_id, max_size=max_size,
-                 min_frequency=min_frequency, split=split, provenance=provenance)
+    return Vocab(token_to_id={t: i + 4 for i, t in enumerate(body)})

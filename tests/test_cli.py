@@ -206,6 +206,37 @@ class TestPredictCommand:
         assert code == 2
         assert "unsupported bundle format: 'jitdp-bundle v1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["truncated bundle.json", "missing bundle.json",
+                                      "missing vocab.txt", "manifest without checksums",
+                                      "feature table without commit_id"])
+    def test_malformed_bundle_is_data_error(self, run_dir, tmp_path, corpus_path, case, capsys):
+        clone = tmp_path / "clone"
+        shutil.copytree(run_dir, clone)
+        manifest_path = clone / "bundle.json"
+        manifest = json.loads(manifest_path.read_text())
+        command, named = ["predict"], "bundle.json"
+        if case == "truncated bundle.json":
+            manifest_path.write_text(manifest_path.read_text()[:200])
+        elif case == "missing bundle.json":
+            manifest_path.unlink()
+        elif case == "missing vocab.txt":
+            (clone / "vocab.txt").unlink()
+            named = "vocab.txt"
+        elif case == "manifest without checksums":
+            del manifest["checksums"]
+            manifest_path.write_text(json.dumps(manifest))
+        else:
+            table = clone / "features.csv"
+            table.write_text("id" + table.read_text()[len("commit_id"):])
+            manifest["checksums"]["features"] = hashlib.sha256(table.read_bytes()).hexdigest()
+            manifest_path.write_text(json.dumps(manifest))
+            target = load_commit_stream(corpus_path)[0].commit_id
+            command, named = ["explain", "--commit", target], "features.csv"
+        code = main([*command, "--bundle", str(manifest_path), "--corpus", str(corpus_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and named in err
+
 
 class TestExplainCommand:
     def test_writes_text_and_json(self, run_dir, tmp_path, corpus_path):
@@ -241,6 +272,11 @@ class TestExitCodes:
 
     def test_no_corpus_is_usage_error(self, tmp_path):
         assert main(["evaluate", "--out", str(tmp_path / "o")]) == 1
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, corpus_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"corpus": str(corpus_path), "threads": 2}))
+        assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
     def test_bad_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -302,6 +338,11 @@ class TestRunConfig:
         assert config_hash(a) != config_hash(b)
         # artifact location does not change what is computed
         assert config_hash(a) == config_hash(RunConfig(corpus="x", seed=1, out="elsewhere"))
+
+    def test_hash_pinned(self):
+        """Bundle and metrics provenance strings carry this hash, so a
+        RunConfig edit must not move it unnoticed."""
+        assert config_hash(RunConfig(corpus="x", seed=1)) == "871a9c34598a7678"
 
     def test_every_field_has_a_default(self):
         cfg = RunConfig()

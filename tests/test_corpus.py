@@ -278,12 +278,6 @@ class TestSynthesize:
         b = synthesize_corpus(SyntheticSpec(size=150, seed=2))
         assert a != b
 
-    def test_degenerate_spec_rejected(self):
-        spec = SyntheticSpec(size=200, feature_strength=0.0, text_strength=0.0,
-                             target_auc=0.9)
-        with pytest.raises(ValueError, match="degenerate"):
-            synthesize_corpus(spec)
-
     def test_zero_strengths_without_target_allowed(self):
         corpus = synthesize_corpus(SyntheticSpec(size=100, feature_strength=0.0,
                                                  text_strength=0.0, seed=3))

@@ -9,7 +9,6 @@ import pytest
 from jitdp.corpus import SyntheticSpec, chronological_split, synthesize_corpus
 from jitdp.deep_model import (
     DeepConfig,
-    MICRO_CONFIG,
     TrainingError,
     TrainLogEntry,
     backward_batch,
@@ -25,9 +24,14 @@ from jitdp.deep_model import (
 from jitdp.evaluation import roc_auc
 from jitdp import nn
 from jitdp.nn import cross_entropy_batch, finite_diff_check, save_params
-from jitdp.textprep import MICRO_SHAPE, build_vocab, render_change_document, tokenize
+from jitdp.pipeline import RunConfig
+from jitdp.textprep import build_vocab, render_change_document, tokenize
 
 from test_nn import scalar_loop_textcnn
+
+# The desk-scale setup of the default run config.
+DESK_CONFIG = RunConfig().deep_config()
+DESK_SHAPE = RunConfig().text_shape()
 
 
 def _split_corpus(spec):
@@ -50,7 +54,7 @@ def _vocab_for(commits):
     return build_vocab(docs)
 
 
-def _datasets(spec, shape=MICRO_SHAPE):
+def _datasets(spec, shape=DESK_SHAPE):
     train, val, test = _split_corpus(spec)
     vocab = _vocab_for(train)
     return (build_dataset(train, vocab, shape), build_dataset(val, vocab, shape),
@@ -160,30 +164,30 @@ MICRO_SPEC_FEATURE = SyntheticSpec(size=400, feature_strength=1.0, text_strength
 class TestTrainDeep:
     def test_learns_planted_text_signal(self):
         train, val, test, vocab = _datasets(MICRO_SPEC_TEXT)
-        params, log = train_deep(train, val, len(vocab), MICRO_CONFIG, seed=5)
-        scores = score_dataset(params, MICRO_CONFIG, test)
+        params, log = train_deep(train, val, len(vocab), DESK_CONFIG, seed=5)
+        scores = score_dataset(params, DESK_CONFIG, test)
         assert roc_auc(scores, test.labels) >= 0.9
-        assert len(log) == MICRO_CONFIG.epochs
+        assert len(log) == DESK_CONFIG.epochs
 
     def test_blind_to_feature_only_signal(self):
         train, val, test, vocab = _datasets(MICRO_SPEC_FEATURE)
-        params, _ = train_deep(train, val, len(vocab), MICRO_CONFIG, seed=5)
-        scores = score_dataset(params, MICRO_CONFIG, test)
+        params, _ = train_deep(train, val, len(vocab), DESK_CONFIG, seed=5)
+        scores = score_dataset(params, DESK_CONFIG, test)
         assert roc_auc(scores, test.labels) <= 0.6
 
     def test_loss_decreases_on_learnable_data(self):
         train, val, _, vocab = _datasets(MICRO_SPEC_TEXT)
-        _, log = train_deep(train, val, len(vocab), MICRO_CONFIG, seed=5)
+        _, log = train_deep(train, val, len(vocab), DESK_CONFIG, seed=5)
         losses = [e.train_loss for e in log[:5]]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_checkpoint_is_argmax_of_log(self):
         train, val, test, vocab = _datasets(MICRO_SPEC_TEXT)
-        params, log = train_deep(train, val, len(vocab), MICRO_CONFIG, seed=5)
+        params, log = train_deep(train, val, len(vocab), DESK_CONFIG, seed=5)
         best_epoch = max(log, key=lambda e: e.metric_mean)
         from jitdp.evaluation import prf1
 
-        report = prf1(score_dataset(params, MICRO_CONFIG, val), val.labels)
+        report = prf1(score_dataset(params, DESK_CONFIG, val), val.labels)
         returned_mean = (report.auc_roc + report.auc_pr + report.f1) / 3
         assert returned_mean == pytest.approx(best_epoch.metric_mean, abs=1e-12)
         assert all(best_epoch.metric_mean >= e.metric_mean for e in log)
@@ -198,13 +202,12 @@ class TestTrainDeep:
 
     def test_empty_validation_rejected(self):
         train, val, _, vocab = _datasets(SyntheticSpec(size=150, seed=3))
-        empty = build_dataset([], _vocab_for([]), MICRO_SHAPE) if False else None
         empty_val = dataclasses.replace(
             val, commit_ids=(), message_ids=val.message_ids[:0],
             file_ids=val.file_ids[:0], x_cat=val.x_cat[:0], x_cont=val.x_cont[:0],
             labels=val.labels[:0])
         with pytest.raises(TrainingError, match="validation"):
-            train_deep(train, empty_val, len(vocab), MICRO_CONFIG, seed=0)
+            train_deep(train, empty_val, len(vocab), DESK_CONFIG, seed=0)
 
     def test_class_weight_doubles_defective_loss_terms(self):
         rng = np.random.default_rng(9)
@@ -232,7 +235,7 @@ class TestLockstep:
     def test_lockstep_training_matches_separate_runs(self, tmp_path):
         train, val, _, vocab = _datasets(SyntheticSpec(size=200, text_strength=1.0, seed=4))
         train, val = _with_features(train, 1), _with_features(val, 2)
-        cfg = dataclasses.replace(MICRO_CONFIG, epochs=2)
+        cfg = dataclasses.replace(DESK_CONFIG, epochs=2)
         lockstep = train_deep(train, val, len(vocab), cfg, seed=3, strategy=STRATEGIES)
         assert len(lockstep) == len(STRATEGIES)
         for s, (params, log) in zip(STRATEGIES, lockstep):
@@ -246,13 +249,13 @@ class TestLockstep:
     def test_stacked_scores_match_per_model_scores(self, block, monkeypatch):
         _, val, test, vocab = _datasets(SyntheticSpec(size=200, text_strength=1.0, seed=4))
         test = _with_features(test, 5)
-        models = [init_deep_params(np.random.default_rng(i), len(vocab), MICRO_CONFIG, s)
+        models = [init_deep_params(np.random.default_rng(i), len(vocab), DESK_CONFIG, s)
                   for i, s in enumerate(STRATEGIES)]
-        alone = [score_dataset(p, MICRO_CONFIG, test, s, batch=16)
+        alone = [score_dataset(p, DESK_CONFIG, test, s, batch=16)
                  for p, s in zip(models, STRATEGIES)]
         stack = stack_params(models)
         monkeypatch.setattr(nn, "_TEXTCNN_BLOCK", block)
-        scores = score_dataset(stack, MICRO_CONFIG, test, STRATEGIES, batch=16)
+        scores = score_dataset(stack, DESK_CONFIG, test, STRATEGIES, batch=16)
         assert scores.shape == (len(test), len(STRATEGIES))
         for m, ref in enumerate(alone):
             assert np.array_equal(scores[:, m], ref), STRATEGIES[m]

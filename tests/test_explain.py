@@ -1,5 +1,7 @@
 """Local surrogate explanation tests."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -89,17 +91,16 @@ class TestExplainInstance:
         text = exp.as_text()
         assert "fidelity" in text
         assert exp.entries[0].condition in text
-        d = exp.as_dict()
+        d = asdict(exp)
         assert len(d["entries"]) == 14
 
 
-def reference_explain(predict_row, x, train, n_samples, seed, kernel_width=None, ridge=1.0):
+def reference_explain(predict_row, x, train, n_samples, seed):
     """explain_instance as it stood before the sampler became array
     operations: one bin draw and one predict call per perturbed sample."""
     x = np.asarray(x, dtype=np.float64)
     p = len(x)
-    if kernel_width is None:
-        kernel_width = 0.75 * np.sqrt(p)
+    kernel_width = 0.75 * np.sqrt(p)
     rng = np.random.default_rng(seed)
     bins = [_quartile_bins(train[:, j]) for j in range(p)]
     inst_bins = np.array([_bin_of(x[j], bins[j][0]) for j in range(p)])
@@ -121,7 +122,7 @@ def reference_explain(predict_row, x, train, n_samples, seed, kernel_width=None,
     design = np.concatenate([np.ones((n_samples, 1)), z], axis=1)
     wd = design * kernel[:, None]
     gram = design.T @ wd
-    gram[1:, 1:] += ridge * np.eye(p)
+    gram[1:, 1:] += np.eye(p)
     coef = np.linalg.solve(gram, wd.T @ y)
     fitted = design @ coef
     y_mean = float((kernel * y).sum() / kernel.sum())

@@ -1,5 +1,5 @@
 """Pipeline-mode tests that the CLI module does not cover: stratified
-k-fold runs, thread settings, and bundle round-trips."""
+k-fold runs and bundle round-trips."""
 
 import json
 
@@ -45,19 +45,6 @@ class TestKfoldMode:
         union = set().union(*test_sets)
         assert len(union) == 300
         assert sum(len(s) for s in test_sets) == 300
-
-
-class TestThreads:
-    def test_thread_count_does_not_change_artifacts(self, corpus_file, tmp_path):
-        outs = []
-        for threads in (1, 3):
-            out = tmp_path / f"t{threads}"
-            cfg = RunConfig(corpus=str(corpus_file), out=str(out), seed=4,
-                            threads=threads, **TINY)
-            run_pipeline(cfg)
-            outs.append(out)
-        for name in ("metrics.json", "sim_forest.ckpt", "predictions.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestBundleRoundTrip:

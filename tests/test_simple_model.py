@@ -22,7 +22,6 @@ from jitdp.simple_model import (
     ADDED_LINES_MASK,
     ForestConfig,
     ForestModel,
-    forest_predict,
     forest_predict_many,
     load_forest,
     logistic_predict,
@@ -87,12 +86,6 @@ class TestTrainForest:
         x, y = _separable_1d(150, seed=2)
         a = train_forest(x, y, seed=9)
         b = train_forest(x, y, seed=9)
-        assert _same_forest(a, b)
-
-    def test_threads_do_not_change_result(self):
-        x, y = _separable_1d(120, seed=5)
-        a = train_forest(x, y, seed=9, threads=1)
-        b = train_forest(x, y, seed=9, threads=4)
         assert _same_forest(a, b)
 
     def test_non_finite_features_rejected(self):
@@ -183,8 +176,8 @@ class TestLockstepGrowth:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(4, 600),
            n_features=st.sampled_from([1, 2, 5, 14]), n_trees=st.integers(1, 6),
-           threads=st.sampled_from([1, 3]), block=st.sampled_from([1, 97, 16_384]))
-    def test_matches_recursive_grower(self, seed, n, n_features, n_trees, threads, block):
+           block=st.sampled_from([1, 97, 16_384]))
+    def test_matches_recursive_grower(self, seed, n, n_features, n_trees, block):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, n_features))
         kind = rng.integers(0, 3, size=n_features)
@@ -193,7 +186,7 @@ class TestLockstepGrowth:
         y = (x[:, 0] + rng.normal(size=n) > 0).astype(np.int64)
         y[:4] = (0, 1, 0, 1)
         with mock.patch.object(simple_model, "_SPLIT_BLOCK", block):
-            model = train_forest(x, y, ForestConfig(n_trees=n_trees), seed=seed, threads=threads)
+            model = train_forest(x, y, ForestConfig(n_trees=n_trees), seed=seed)
         assert _same_forest(model, _forest(_recursive_forest(x, y, n_trees, seed), n_features, seed))
 
     def test_only_constant_columns_but_one(self):
@@ -216,7 +209,7 @@ class TestLockstepGrowth:
         vectors = featurize_corpus(ordered)
         x = feature_matrix(vectors[i] for i in balanced)
         y = np.array([labels[i] for i in balanced])
-        model = train_forest(x, y, ForestConfig(n_trees=20), seed=5, threads=3)
+        model = train_forest(x, y, ForestConfig(n_trees=20), seed=5)
         assert _same_forest(model, _forest(_recursive_forest(x, y, 20, 5), seed=5))
 
 
@@ -225,25 +218,30 @@ def _hand_model(leaf_probs):
     return _forest([[(-1, 0.0, -1, -1, 1 - p, p)] for p in leaf_probs])
 
 
+def _predict_one(model, row):
+    """forest_predict_many of one row."""
+    return forest_predict_many(model, np.asarray(row)[None])[0]
+
+
 class TestForestPredict:
     def test_unanimous_zero(self):
         model = _hand_model([0.0, 0.0, 0.0])
-        assert forest_predict(model, np.zeros(14)) == 0.0
+        assert _predict_one(model, np.zeros(14)) == 0.0
 
     def test_mean_of_two_trees(self):
         model = _hand_model([0.2, 0.8])
-        assert forest_predict(model, np.zeros(14)) == pytest.approx(0.5)
+        assert _predict_one(model, np.zeros(14)) == pytest.approx(0.5)
 
     def test_probability_range_and_mean_update(self):
         x, y = _separable_1d(100, seed=6)
         model = train_forest(x, y, ForestConfig(n_trees=10), seed=3)
         probe = x[7]
-        base = forest_predict(model, probe)
+        base = _predict_one(model, probe)
         assert 0.0 <= base <= 1.0
         # appending a tree that predicts p moves the mean toward p
         extra = _hand_model([1.0]).trees[0]
         grown = _forest([*model.trees, extra], seed=3)
-        assert forest_predict(grown, probe) == pytest.approx((base * 10 + 1.0) / 11)
+        assert _predict_one(grown, probe) == pytest.approx((base * 10 + 1.0) / 11)
 
     def test_matches_manual_tree_walk(self):
         x, y = _separable_1d(80, seed=7)
@@ -257,12 +255,13 @@ class TestForestPredict:
 
         for row in x[:10]:
             manual = np.mean([walk(tree, row) for tree in model.trees])
-            assert forest_predict(model, row) == pytest.approx(manual, abs=1e-15)
+            assert _predict_one(model, row) == pytest.approx(manual, abs=1e-15)
 
     def test_dimension_mismatch_rejected(self):
         model = _hand_model([0.5])
-        with pytest.raises(ValueError):
-            forest_predict(model, np.zeros(3))
+        for rows in (np.zeros((1, 3)), np.zeros(14)):
+            with pytest.raises(ValueError, match="expected rows of 14 features"):
+                forest_predict_many(model, rows)
 
 
 def _scalar_walk(tree, row):
@@ -302,7 +301,7 @@ class TestArrayForest:
             on_split = rng.random(rows.shape) < 0.5
             rows[on_split] = rng.choice(thresholds, size=int(on_split.sum()))
         assert np.array_equal(forest_predict_many(model, rows), _scalar_predict(trees, rows))
-        assert forest_predict(model, rows[0]) == _scalar_predict(trees, rows[:1])[0]
+        assert _predict_one(model, rows[0]) == _scalar_predict(trees, rows[:1])[0]
 
     def test_value_equal_to_threshold_goes_left(self):
         stump = ((2, 0.5, 1, 2, 0.5, 0.5), (-1, 0.0, -1, -1, 1.0, 0.0),

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from jitdp.corpus import CommitRecord, FileChange
 from jitdp.deep_model import build_dataset
+from jitdp.pipeline import RunConfig
 from jitdp.textprep import (
     ADDED_HEADER,
     ADDED_ID,
-    MICRO_SHAPE,
     PAD_ID,
     REMOVED_HEADER,
     REMOVED_ID,
@@ -18,7 +18,7 @@ from jitdp.textprep import (
     UNK_ID,
     build_vocab,
     decode_ids,
-    encode_commit,
+    encode_commits,
     load_vocab,
     render_change_document,
     save_vocab,
@@ -163,66 +163,72 @@ def _vocab():
     return build_vocab(docs, min_frequency=1)
 
 
+def _encode_one(commit, vocab, shape):
+    """encode_commits of one commit: (message ids, file-id matrix)."""
+    message_ids, file_ids = encode_commits([commit], vocab, shape)
+    return message_ids[0], file_ids[0]
+
+
 class TestEncodeCommit:
     def test_message_padding(self):
         vocab = _vocab()
         commit = CommitRecord("c", 1, "a", "fix parser crash", ())
-        enc = encode_commit(commit, vocab, TextShape(l_msg=8, l_code=6, files=2))
-        assert enc.message_ids.shape == (8,)
-        assert list(enc.message_ids[3:]) == [PAD_ID] * 5
-        assert all(i != PAD_ID for i in enc.message_ids[:3])
+        message_ids, _ = _encode_one(commit, vocab, TextShape(l_msg=8, l_code=6, files=2))
+        assert message_ids.shape == (8,)
+        assert list(message_ids[3:]) == [PAD_ID] * 5
+        assert all(i != PAD_ID for i in message_ids[:3])
 
     def test_message_truncation_keeps_prefix(self):
         vocab = _vocab()
         commit = CommitRecord("c", 1, "a", "fix parser crash fix parser", ())
-        enc = encode_commit(commit, vocab, TextShape(l_msg=2, l_code=6, files=1))
-        assert list(enc.message_ids) == [vocab.lookup("fix"), vocab.lookup("parser")]
+        message_ids, _ = _encode_one(commit, vocab, TextShape(l_msg=2, l_code=6, files=1))
+        assert list(message_ids) == [vocab.lookup("fix"), vocab.lookup("parser")]
 
     def test_file_rows_truncated_to_first_f(self):
         vocab = _vocab()
         files = tuple(FileChange(f"p{i}", (f"int x = {i} ;",), ()) for i in range(5))
         commit = CommitRecord("c", 1, "a", "m", files)
-        enc = encode_commit(commit, vocab, TextShape(l_msg=4, l_code=10, files=3))
-        assert enc.file_ids.shape == (3, 10)
-        assert enc.file_ids[0, 0] == ADDED_ID
+        _, file_ids = _encode_one(commit, vocab, TextShape(l_msg=4, l_code=10, files=3))
+        assert file_ids.shape == (3, 10)
+        assert file_ids[0, 0] == ADDED_ID
 
     def test_missing_file_rows_are_padding(self):
         vocab = _vocab()
         commit = CommitRecord("c", 1, "a", "m", (FileChange("p", ("int x ;",), ()),))
-        enc = encode_commit(commit, vocab, TextShape(l_msg=4, l_code=8, files=3))
-        assert np.all(enc.file_ids[1:] == PAD_ID)
+        _, file_ids = _encode_one(commit, vocab, TextShape(l_msg=4, l_code=8, files=3))
+        assert np.all(file_ids[1:] == PAD_ID)
 
     def test_exactly_one_header_pair_per_encoded_file(self):
         vocab = _vocab()
         commit = CommitRecord("c", 1, "a", "m",
                               (FileChange("p", ("int x = 1 ;", "x = x ;"), ("crash ;",)),))
-        enc = encode_commit(commit, vocab, TextShape(l_msg=4, l_code=32, files=2))
-        row = list(enc.file_ids[0])
+        _, file_ids = _encode_one(commit, vocab, TextShape(l_msg=4, l_code=32, files=2))
+        row = list(file_ids[0])
         assert row.count(ADDED_ID) == 1
         assert row.count(REMOVED_ID) == 1
 
     def test_out_of_vocabulary_maps_to_unknown(self):
         vocab = _vocab()
         commit = CommitRecord("c", 1, "a", "zebra", ())
-        enc = encode_commit(commit, vocab, TextShape(l_msg=4, l_code=4, files=1))
-        assert enc.message_ids[0] == UNK_ID
+        message_ids, _ = _encode_one(commit, vocab, TextShape(l_msg=4, l_code=4, files=1))
+        assert message_ids[0] == UNK_ID
 
     def test_round_trip_prefix(self):
         vocab = _vocab()
         commit = CommitRecord("c", 1, "a", "fix parser crash",
                               (FileChange("p", ("int x = 1 ;",), ("crash ;",)),))
         shape = TextShape(l_msg=10, l_code=16, files=2)
-        enc = encode_commit(commit, vocab, shape)
-        assert decode_ids(enc.message_ids, vocab) == ["fix", "parser", "crash"]
+        message_ids, file_ids = _encode_one(commit, vocab, shape)
+        assert decode_ids(message_ids, vocab) == ["fix", "parser", "crash"]
         doc = render_change_document(commit.files[0])
-        assert decode_ids(enc.file_ids[0], vocab) == doc[: shape.l_code]
+        assert decode_ids(file_ids[0], vocab) == doc[: shape.l_code]
 
     def test_padding_only_as_suffix(self):
         vocab = _vocab()
         commit = CommitRecord("c", 1, "a", "fix crash",
                               (FileChange("p", ("int x ;",), ()),))
-        enc = encode_commit(commit, vocab, TextShape(l_msg=6, l_code=12, files=2))
-        for row in [enc.message_ids, *enc.file_ids]:
+        message_ids, file_ids = _encode_one(commit, vocab, TextShape(l_msg=6, l_code=12, files=2))
+        for row in [message_ids, *file_ids]:
             seen_pad = False
             for tok in row:
                 if tok == PAD_ID:
@@ -237,7 +243,7 @@ class TestVocabFile:
         vocab = build_vocab(docs, min_frequency=1)
         path = tmp_path / "vocab.txt"
         save_vocab(path, vocab)
-        loaded = load_vocab(path, min_frequency=1)
+        loaded = load_vocab(path)
         assert loaded.token_to_id == vocab.token_to_id
 
     def test_preamble_and_body_layout(self, tmp_path):
@@ -249,14 +255,9 @@ class TestVocabFile:
         assert lines[0].startswith("#0")
         assert lines[4] == "zzz"  # body line 0 holds id 4
 
-    def test_split_provenance_carried(self):
-        vocab = build_vocab([["x", "x"]], min_frequency=1, split="train", provenance="run1")
-        assert vocab.split == "train"
-        assert vocab.provenance == "run1"
-
 
 # ---------------------------------------------------------------------------
-# Reference: encode_commit as it stood before the vocabulary's token table:
+# Reference: one commit's encoding as it stood before the vocabulary's token table:
 # one lookup per token with the headers checked first, then truncation.
 # ---------------------------------------------------------------------------
 
@@ -287,8 +288,7 @@ def assert_encodes_like_reference(commits, vocab, shape):
     assert ds.message_ids.dtype == ds.file_ids.dtype == np.int64
     for i, commit in enumerate(commits):
         msg, file_ids = reference_encode(commit, vocab, shape)
-        one = encode_commit(commit, vocab, shape)
-        for got_msg, got_files in ((one.message_ids, one.file_ids),
+        for got_msg, got_files in (_encode_one(commit, vocab, shape),
                                    (ds.message_ids[i], ds.file_ids[i])):
             assert np.array_equal(got_msg, msg) and np.array_equal(got_files, file_ids)
 
@@ -323,7 +323,7 @@ class TestEncodingAgainstReference:
         commits, vocab, shape = case
         path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
         save_vocab(path, vocab)
-        assert_encodes_like_reference(commits, load_vocab(path, min_frequency=1), shape)
+        assert_encodes_like_reference(commits, load_vocab(path), shape)
 
     def test_headers_in_a_loaded_body_keep_their_reserved_ids(self, tmp_path):
         path = tmp_path / "vocab.txt"
@@ -342,7 +342,7 @@ class TestEncodingAgainstReference:
         docs = [tokenize(c.message) for c in train]
         docs += [render_change_document(f) for c in train for f in c.files]
         vocab = build_vocab(docs)
-        for shape in (MICRO_SHAPE, TextShape(l_msg=4, l_code=6, files=1)):
+        for shape in (RunConfig().text_shape(), TextShape(l_msg=4, l_code=6, files=1)):
             assert_encodes_like_reference(corpus, vocab, shape)
 
 
@@ -355,6 +355,6 @@ class TestVocabRoundTrip:
         vocab = build_vocab(docs, max_size=max_size, min_frequency=1)
         path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
         save_vocab(path, vocab)
-        loaded = load_vocab(path, max_size=max_size, min_frequency=1)
+        loaded = load_vocab(path)
         assert loaded == vocab
         assert loaded.table == vocab.table
