@@ -45,15 +45,17 @@ _ENTROPY, _AGE, _REXP = (FEATURE_NAMES.index(n) for n in ("entropy", "age", "rex
 # Elements of one (commits x prior timestamps) block of the rexp pass.
 _REXP_BLOCK = 1 << 15
 
-_FIX_PATTERN = re.compile(
-    r"\b(bug|fix|fixes|fixed|defect|fault|patch|error|fail|failure)\b",
-    re.IGNORECASE,
-)
+# bug, fix, fixes, fixed, defect, fault, patch, error, fail, failure
+_FIX_KEYWORDS = r"\b(?:bug|fix(?:e[sd])?|defect|fault|patch|error|fail(?:ure)?)\b"
+_FIX_PATTERN = re.compile(_FIX_KEYWORDS, re.IGNORECASE)
+# The same matches on ASCII text, without Unicode case folding.
+_ASCII_FIX_PATTERN = re.compile(_FIX_KEYWORDS, re.IGNORECASE | re.ASCII)
 
 
 def classify_fix_message(message: str) -> int:
     """1 iff the message contains a whole-word defect-fix keyword."""
-    return 1 if _FIX_PATTERN.search(message) else 0
+    pattern = _ASCII_FIX_PATTERN if message.isascii() else _FIX_PATTERN
+    return 1 if pattern.search(message) else 0
 
 
 def subsystem_of(path: str) -> str:

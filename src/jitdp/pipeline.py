@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from .evaluation import (
 from .explain import explain_instance
 # split_and_normalize is not called here; perfbench/spans.py wraps it in this namespace.
 from .features import (  # noqa: F401
+    FEATURE_NAMES,
     TrainStats,
     featurize_corpus,
     fit_train_stats,
@@ -439,8 +441,9 @@ class LoadedBundle:
 
 def load_bundle(manifest_path) -> LoadedBundle:
     """The bundle a pipeline run wrote. A manifest or artifact that cannot
-    be read, a manifest that is not JSON or lacks an entry, and an artifact
-    that does not load are each a DataError naming the file."""
+    be read, a manifest that is not JSON, and an artifact that does not load
+    are each a DataError naming the file; a manifest entry that is missing
+    or has the wrong shape is one naming the entry."""
     manifest_path = Path(manifest_path)
     try:
         return _load_bundle(manifest_path)
@@ -452,12 +455,79 @@ def load_bundle(manifest_path) -> LoadedBundle:
         raise DataError(f"bundle manifest {manifest_path} has no entry {exc}") from exc
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+_STRING = (lambda v: isinstance(v, str), "a string")
+_NUMBER = (_is_number, "a number")
+_POSITIVE_INT = (lambda v: _is_int(v) and v > 0, "a positive integer")
+# One statistic per continuous feature: all but the fix flag.
+_N_CONTINUOUS = len(FEATURE_NAMES) - 1
+_FEATURE_VALUES = (lambda v: isinstance(v, list) and len(v) == _N_CONTINUOUS
+                   and all(map(_is_number, v)), f"a list of {_N_CONTINUOUS} numbers")
+# The fields of each object entry, with what each value must be.
+_OBJECT_ENTRIES = {
+    "stats": {"mean": _FEATURE_VALUES, "std": _FEATURE_VALUES, "split": _STRING,
+              "provenance": _STRING},
+    "deep_config": {
+        "embed_dim": _POSITIVE_INT, "filters": _POSITIVE_INT,
+        "windows": (lambda v: isinstance(v, list) and v != [] and all(map(_POSITIVE_INT[0], v)),
+                    "a non-empty list of positive integers"),
+        "hidden": _POSITIVE_INT, "dropout": _NUMBER, "lr": _NUMBER,
+        "batch_size": _POSITIVE_INT, "epochs": _POSITIVE_INT, "gmf_beta": _NUMBER,
+    },
+    "text_shape": {"l_msg": _POSITIVE_INT, "l_code": _POSITIVE_INT, "files": _POSITIVE_INT},
+}
+
+
+def _check_manifest(manifest, manifest_path: Path) -> None:
+    """A DataError naming the first entry the loader cannot use: a value of
+    the wrong JSON type, an unknown fusion name, weights that are not one
+    positive number per fused model, statistics that are not one per
+    continuous feature, an object with other keys than its fields, or a
+    size that is not a positive integer. A missing entry is a KeyError."""
+    if not isinstance(manifest, dict):
+        raise DataError(f"bundle manifest {manifest_path} is not a JSON object")
+    if manifest.get("format") != BUNDLE_FORMAT:
+        raise DataError(f"unsupported bundle format: {manifest.get('format')!r}")
+
+    def require(name, ok, what):
+        if not ok:
+            raise DataError(f"bundle manifest {manifest_path}: entry '{name}' must be {what}")
+
+    early, late, weights = manifest["early"], manifest["late"], manifest["weights"]
+    require("early", early in fusion.EARLY_STRATEGIES, "one of " + ", ".join(fusion.EARLY_STRATEGIES))
+    require("late", late in fusion.LATE_RULES, "one of " + ", ".join(fusion.LATE_RULES))
+    if late == "weighted":
+        n_models = 2 if early == "none" else 3
+        require("weights", isinstance(weights, list) and len(weights) == n_models
+                and all(_is_number(w) and w > 0 for w in weights),
+                f"a list of {n_models} positive numbers, one per fused model")
+    else:
+        require("weights", weights is None, f"null under late rule '{late}'")
+    require("provenance", isinstance(manifest["provenance"], str), "a string")
+    for name in ("artifacts", "checksums"):
+        entry = manifest[name]
+        require(name, isinstance(entry, dict) and all(map(_STRING[0], entry.values())),
+                "an object of strings")
+    for name, entry_fields in _OBJECT_ENTRIES.items():
+        entry = manifest[name]
+        require(name, isinstance(entry, dict) and entry.keys() == entry_fields.keys(),
+                "an object with exactly the keys " + ", ".join(entry_fields))
+        for key, (check, what) in entry_fields.items():
+            require(f"{name}.{key}", check(entry[key]), what)
+
+
 def _load_bundle(manifest_path: Path) -> LoadedBundle:
     base = manifest_path.parent
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
-    if manifest.get("format") != BUNDLE_FORMAT:
-        raise DataError(f"unsupported bundle format: {manifest.get('format')!r}")
+    _check_manifest(manifest, manifest_path)
     artifacts = manifest["artifacts"]
     for key, rel in artifacts.items():
         actual = _sha256_file(base / rel)
@@ -516,18 +586,12 @@ def predict_commits(bundle: LoadedBundle, corpus) -> list:
     fused = fusion.apply_bundle_rule(bundle.early, bundle.late, bundle.weights,
                                      sim_scores, com_scores, early_scores)
     pos = {c.commit_id: j for j, c in enumerate(ordered)}
-    rows = []
-    for c in corpus:
-        j = pos[c.commit_id]
-        rows.append((
-            c.commit_id,
-            float(fused[j]),
-            int(fused[j] > 0.5),
-            float(sim_scores[j]),
-            float(com_scores[j]),
-            None if early_scores is None else float(early_scores[j]),
-        ))
-    return rows
+    at = np.array([pos[c.commit_id] for c in corpus])
+    fused = fused.take(at)
+    early = repeat(None) if early_scores is None else early_scores.take(at).tolist()
+    return list(zip([c.commit_id for c in corpus], fused.tolist(),
+                    (fused > 0.5).astype(np.int64).tolist(), sim_scores.take(at).tolist(),
+                    com_scores.take(at).tolist(), early))
 
 
 PREDICTIONS_HEADER = "commit_id,fused_score,class,sim_score,com_score,early_score"

@@ -1,4 +1,4 @@
-"""Text preparation: tokenization, per-file change documents with the
+r"""Text preparation: tokenization, per-file change documents with the
 "Added:"/"Removed:" headers, vocabulary construction, and fixed-shape
 encoding of commits to token-id matrices.
 
@@ -6,6 +6,12 @@ Reserved ids: 0 padding, 1 unknown, 2 the added-lines header, 3 the
 removed-lines header. The header strings are inserted verbatim (they can
 never be produced by the tokenizer, which lowercases and splits punctuation)
 and always map to their reserved ids.
+
+Tokens are `\w+|[^\w\s]+` over the lowercased text. When the lowercased
+text is ASCII, an explicit-class pattern with the same matches on ASCII
+runs instead (its separators are \s's ten ASCII characters, \x1c-\x1f
+included), so the tokens are unchanged; other text takes the Unicode
+pattern.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -27,12 +34,16 @@ REMOVED_HEADER = "Removed:"
 _RESERVED = ((PAD_ID, "<pad>"), (UNK_ID, "<unk>"), (ADDED_ID, ADDED_HEADER), (REMOVED_ID, REMOVED_HEADER))
 
 _TOKEN_PATTERN = re.compile(r"\w+|[^\w\s]+")
+# The same matches on ASCII text: \w is [a-z0-9_] once lowercased.
+_ASCII_TOKEN_PATTERN = re.compile(r"[a-z0-9_]+|[^a-z0-9_\t\n\x0b\x0c\r\x1c-\x1f ]+")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace and punctuation boundaries; runs of
     punctuation stay single tokens."""
-    return _TOKEN_PATTERN.findall(text.lower())
+    lowered = text.lower()
+    pattern = _ASCII_TOKEN_PATTERN if lowered.isascii() else _TOKEN_PATTERN
+    return pattern.findall(lowered)
 
 
 def render_change_document(file: FileChange) -> list[str]:
@@ -84,12 +95,8 @@ def build_vocab(documents, max_size: int = 20_000, min_frequency: int = 2) -> Vo
     """Keep the most frequent tokens, ties broken lexicographically, up to
     max_size total entries including the 4 reserved ids. Must only ever see
     training-split documents."""
-    counts = Counter()
-    for doc in documents:
-        for tok in doc:
-            if tok in (ADDED_HEADER, REMOVED_HEADER):
-                continue
-            counts[tok] += 1
+    counts = Counter(chain.from_iterable(documents))
+    del counts[ADDED_HEADER], counts[REMOVED_HEADER]
     if not counts:
         raise ValueError("cannot build a vocabulary from an empty training corpus")
     eligible = [(-c, t) for t, c in counts.items() if c >= min_frequency]
@@ -109,10 +116,10 @@ def encode_commits(commits, vocab: Vocab, shape: TextShape) -> tuple:
     msg = np.full((len(commits), shape.l_msg), PAD_ID, dtype=np.int64)
     file_ids = np.full((len(commits), shape.files, shape.l_code), PAD_ID, dtype=np.int64)
     for i, commit in enumerate(commits):
-        ids = [table.get(t, UNK_ID) for t in tokenize(commit.message)[: shape.l_msg]]
+        ids = list(map(table.get, tokenize(commit.message)[: shape.l_msg], repeat(UNK_ID)))
         msg[i, : len(ids)] = ids
         for row, file in enumerate(commit.files[: shape.files]):
-            ids = [table.get(t, UNK_ID) for t in render_change_document(file)[: shape.l_code]]
+            ids = list(map(table.get, render_change_document(file)[: shape.l_code], repeat(UNK_ID)))
             file_ids[i, row, : len(ids)] = ids
     return msg, file_ids
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from jitdp.cli import main
-from jitdp.corpus import SyntheticSpec, load_commit_stream, save_commit_stream, synthesize_corpus
+from jitdp.corpus import DataError, SyntheticSpec, load_commit_stream, save_commit_stream, synthesize_corpus
 from jitdp.pipeline import (
     RunConfig,
     config_from_dict,
@@ -236,6 +236,38 @@ class TestPredictCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and named in err
+
+    @pytest.mark.parametrize("entry, edit", [
+        ("weights", lambda m: m | {"weights": 5}),
+        ("deep_config", lambda m: m | {"deep_config": m["deep_config"] | {"kernel": 3}}),
+        ("text_shape", lambda m: m | {"text_shape": [1, 2]}),
+        ("deep_config.windows", lambda m: m | {"deep_config": m["deep_config"] | {"windows": "123"}}),
+        ("stats.mean", lambda m: m | {"stats": m["stats"] | {"mean": None}}),
+        ("artifacts", lambda m: m | {"artifacts": ["sim"]}),
+        ("early", lambda m: m | {"early": "xyz"}),
+        ("late", lambda m: m | {"late": 1}),
+        ("weights", lambda m: m | {"early": "none", "late": "weighted", "weights": [1]}),
+        ("weights", lambda m: m | {"early": "none", "late": "weighted", "weights": [1, -1]}),
+        ("stats.std", lambda m: m | {"stats": m["stats"] | {"std": []}}),
+        ("text_shape.l_code", lambda m: m | {"text_shape": m["text_shape"] | {"l_code": -4}}),
+    ])
+    def test_malformed_manifest_entry_is_data_error(self, run_dir, tmp_path, corpus_path,
+                                                    entry, edit, capsys):
+        clone = tmp_path / "clone"
+        shutil.copytree(run_dir, clone)
+        manifest_path = clone / "bundle.json"
+        manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
+        with pytest.raises(DataError, match=f"entry '{entry}' must be"):
+            load_bundle(manifest_path)
+        code = main(["predict", "--bundle", str(manifest_path), "--corpus", str(corpus_path)])
+        assert code == 2
+        assert f"entry '{entry}' must be" in capsys.readouterr().err
+
+    def test_manifest_that_is_not_an_object_is_data_error(self, tmp_path):
+        manifest_path = tmp_path / "bundle.json"
+        manifest_path.write_text("[1, 2]")
+        with pytest.raises(DataError, match="is not a JSON object"):
+            load_bundle(manifest_path)
 
 
 class TestExplainCommand:

@@ -270,6 +270,35 @@ class TestFixClassifier:
             assert classify_fix_message(message) == expected, message
 
 
+# The keyword pattern as first written: ten alternatives, Unicode case folding.
+ORIGINAL_FIX_PATTERN = re.compile(
+    r"\b(bug|fix|fixes|fixed|defect|fault|patch|error|fail|failure)\b", re.IGNORECASE)
+# Keywords, their prefixes and extensions, and characters that fold or sit
+# at word boundaries differently under Unicode rules: Kelvin sign, long s,
+# dotted capital I, non-breaking space, next-line.
+_FIX_PIECES = st.sampled_from([
+    "bug", "Fix", "FIXES", "fixed", "fixe", "defect", "Fault", "patch", "ERROR", "fail",
+    "failure", "failur", "fails", "bugs", "x", "_", "0", " ", "-", ".", "\n",
+    "\u212a", "\u017f", "\u0130", "\xa0", "\x85", "\xe9"])
+
+
+class TestFixClassifierAgainstOriginalPattern:
+    @settings(max_examples=400, deadline=None)
+    @given(message=st.lists(_FIX_PIECES, max_size=8).map("".join))
+    def test_keyword_pieces(self, message):
+        assert classify_fix_message(message) == bool(ORIGINAL_FIX_PATTERN.search(message))
+
+    @settings(max_examples=200, deadline=None)
+    @given(message=st.text())
+    def test_unicode_text(self, message):
+        assert classify_fix_message(message) == bool(ORIGINAL_FIX_PATTERN.search(message))
+
+    def test_acceptance_messages(self, acceptance_corpus):
+        for commit in acceptance_corpus:
+            assert classify_fix_message(commit.message) == \
+                bool(ORIGINAL_FIX_PATTERN.search(commit.message)), commit.message
+
+
 class TestSplitAndNormalize:
     def _stats(self, fixture_corpus):
         vectors = featurize_corpus(fixture_corpus)

@@ -1,5 +1,8 @@
 """Tokenizer, change-document, vocabulary, and encoding tests."""
 
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -358,3 +361,88 @@ class TestVocabRoundTrip:
         loaded = load_vocab(path)
         assert loaded == vocab
         assert loaded.table == vocab.table
+
+
+# ---------------------------------------------------------------------------
+# References: the tokenizer as one Unicode pattern, change documents as two
+# tokenizer passes, and the vocabulary counted token by token.
+# ---------------------------------------------------------------------------
+
+
+def reference_tokenize(text):
+    return re.findall(r"\w+|[^\w\s]+", text.lower())
+
+
+def reference_document(file):
+    return [ADDED_HEADER, *reference_tokenize("\n".join(file.added_lines)),
+            REMOVED_HEADER, *reference_tokenize("\n".join(file.removed_lines))]
+
+
+def reference_vocab(documents, max_size, min_frequency):
+    counts = Counter()
+    for doc in documents:
+        for tok in doc:
+            if tok in (ADDED_HEADER, REMOVED_HEADER):
+                continue
+            counts[tok] += 1
+    if not counts:
+        raise ValueError("empty")
+    eligible = sorted((-c, t) for t, c in counts.items() if c >= min_frequency)
+    return {t: i + 4 for i, (_, t) in enumerate(eligible[: max(0, max_size - 4)])}
+
+
+# ASCII separators \s knows (\x1c-\x1f among them), the Unicode ones \x85
+# and \xa0, capitals, and characters whose lowercase form is ASCII (Kelvin
+# sign) or longer than one character (dotted capital I), or that are
+# letters only under Unicode rules (long s).
+_EDGE = st.text(alphabet="aZq_09 .;:-+\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0"
+                         "\u212a\u0130\u017f\xe9Q", max_size=40)
+_ANY = st.text(max_size=40)
+_ASCII = st.text(alphabet=st.characters(max_codepoint=127), max_size=40)
+
+
+class TestTokenizeAgainstUnicodePattern:
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(_ANY, _EDGE, _ASCII))
+    def test_tokens(self, text):
+        assert tokenize(text) == reference_tokenize(text)
+
+    def test_every_ascii_character(self):
+        text = "".join(map(chr, range(128)))
+        assert tokenize(text) == reference_tokenize(text)
+        for c in map(chr, range(128)):
+            assert tokenize(f"a{c}b{c}{c}") == reference_tokenize(f"a{c}b{c}{c}"), repr(c)
+
+
+class TestChangeDocumentAgainstTwoPasses:
+    @settings(max_examples=300, deadline=None)
+    @given(added=st.lists(st.one_of(_ANY, _EDGE, _ASCII), max_size=4),
+           removed=st.lists(st.one_of(_ANY, _EDGE, _ASCII), max_size=4))
+    def test_documents(self, added, removed):
+        file = FileChange("p", tuple(added), tuple(removed))
+        assert render_change_document(file) == reference_document(file)
+
+    def test_header_strings_in_the_lines(self):
+        file = FileChange("p", ("Removed: Added:",), ("Added:\nRemoved:",))
+        assert render_change_document(file) == reference_document(file)
+
+    def test_acceptance_corpus(self, acceptance_corpus):
+        for commit in acceptance_corpus[:300]:
+            for file in commit.files:
+                assert render_change_document(file) == reference_document(file)
+
+
+class TestBuildVocabAgainstTokenLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(documents=st.lists(st.lists(st.sampled_from(
+               ["a", "b", "c", "Added", "removed", ":", ADDED_HEADER, REMOVED_HEADER]),
+               max_size=12), max_size=5),
+           max_size=st.integers(4, 9), min_frequency=st.integers(1, 3))
+    def test_vocab(self, documents, max_size, min_frequency):
+        try:
+            expected = reference_vocab(documents, max_size, min_frequency)
+        except ValueError:
+            with pytest.raises(ValueError):
+                build_vocab(iter(documents), max_size, min_frequency)
+            return
+        assert build_vocab(iter(documents), max_size, min_frequency).token_to_id == expected
