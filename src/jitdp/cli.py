@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DataError, SyntheticSpec, load_commit_stream, save_commit_stream, synthesize_corpus
+from .corpus import DataError, SyntheticSpec, csv_line, load_commit_stream, save_commit_stream, synthesize_corpus
 from .deep_model import TrainingError
 from .pipeline import (
     PREDICTIONS_HEADER,
@@ -23,7 +23,6 @@ from .pipeline import (
     RunConfig,
     config_from_dict,
     explain_commit,
-    format_prediction,
     load_bundle,
     predict_commits,
     read_feature_table,
@@ -139,7 +138,7 @@ def _predict(args) -> int:
     else:
         print(PREDICTIONS_HEADER)
         for row in rows:
-            print(format_prediction(row))
+            print(csv_line(row))
     return 0
 
 

@@ -168,6 +168,21 @@ def save_commit_stream(path, corpus) -> None:
             handle.write(commit_to_json(rec) + "\n")
 
 
+def csv_line(values) -> str:
+    """One line of a CSV artifact, without its newline: None is blank and
+    any other value is str(), which is repr() for a Python float. Pass
+    Python scalars (`.tolist()`), not numpy ones."""
+    return ",".join(["" if v is None else str(v) for v in values])
+
+
+def write_csv(path, header: str, rows) -> None:
+    """A CSV artifact: the header line, then one csv_line per row."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(header + "\n")
+        for row in rows:
+            handle.write(csv_line(row) + "\n")
+
+
 def sort_chronologically(corpus) -> list[CommitRecord]:
     """Ascending by timestamp; ties broken by commit_id ascending."""
     return sorted(corpus, key=lambda r: (r.timestamp, r.commit_id))

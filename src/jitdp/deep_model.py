@@ -15,11 +15,12 @@ blocks, and each model's fusion and classifier run on its own slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import nn
+from .corpus import write_csv
 from .evaluation import prf1
 from .fusion import early_fuse_backward, early_fuse_forward, early_fused_dim, early_fusion_init
 from .textprep import PAD_ID, TextShape, Vocab, encode_commits
@@ -257,6 +258,8 @@ def train_deep(train_ds: DeepDataset, val_ds: DeepDataset, vocab_size: int,
     n_neg = int((train_ds.labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise TrainingError("training split must contain both classes")
+    if not ((val_ds.labels == 0).any() and (val_ds.labels == 1).any()):
+        raise TrainingError("validation split must contain both classes")
     class_weights = (1.0, n_neg / n_pos)
 
     strategies = (strategy,) if isinstance(strategy, str) else tuple(strategy)
@@ -307,10 +310,4 @@ TRAIN_LOG_HEADER = "epoch,train_loss,val_auc_roc,val_auc_pr,val_f1,metric_mean"
 
 
 def write_train_log(path, log) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(TRAIN_LOG_HEADER + "\n")
-        for e in log:
-            handle.write(
-                f"{e.epoch},{e.train_loss!r},{e.val_auc_roc!r},{e.val_auc_pr!r},"
-                f"{e.val_f1!r},{e.metric_mean!r}\n"
-            )
+    write_csv(path, TRAIN_LOG_HEADER, ((*astuple(e), e.metric_mean) for e in log))

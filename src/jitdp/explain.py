@@ -65,6 +65,8 @@ def explain_instance(predict_fn, x, train_features, n_samples: int = 1000,
     the quartile bins come from. predict_fn maps an (n_samples, p) matrix of
     perturbed rows to their n_samples scores in one call. The kernel width
     is 0.75 sqrt(p) and the ridge penalty 1. Deterministic given seed."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     x = np.asarray(x, dtype=np.float64)
     train = np.asarray(train_features, dtype=np.float64)
     if train.ndim != 2 or train.shape[1] != len(x):

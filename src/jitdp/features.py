@@ -27,7 +27,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .corpus import CommitRecord, DataError
+from .corpus import CommitRecord, DataError, write_csv
 
 SECONDS_PER_DAY = 86_400.0
 SECONDS_PER_YEAR = 365.25 * SECONDS_PER_DAY
@@ -375,19 +375,8 @@ def split_and_normalize(vector: HandCraftedVector, stats: TrainStats) -> Feature
 TABLE_HEADER = "commit_id," + ",".join(FEATURE_NAMES) + ",label"
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_feature_table(path, corpus, table: FeatureTable) -> None:
     """One row per commit, full-precision decimal values, label blank when
     the commit is unlabeled."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(TABLE_HEADER + "\n")
-        for commit in corpus:
-            cells = [commit.commit_id]
-            cells += map(_cell, table.row(commit.commit_id))
-            cells.append("" if commit.label is None else str(commit.label))
-            handle.write(",".join(cells) + "\n")
+    write_csv(path, TABLE_HEADER,
+              ([c.commit_id, *table.row(c.commit_id), c.label] for c in corpus))

@@ -26,6 +26,7 @@ from itertools import product
 
 import numpy as np
 
+from .corpus import write_csv
 from .evaluation import pr_auc, prf1
 from .nn import Params, glorot_uniform
 
@@ -349,8 +350,6 @@ SWEEP_LOG_HEADER = "early,late,weights,auc_roc,auc_pr,f1"
 
 
 def write_sweep_log(path, result: SweepResult) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(SWEEP_LOG_HEADER + "\n")
-        for c in result.cells:
-            w = "" if c.weights is None else "|".join(repr(x) for x in c.weights)
-            handle.write(f"{c.early},{c.late},{w},{c.auc_roc!r},{c.auc_pr!r},{c.f1!r}\n")
+    write_csv(path, SWEEP_LOG_HEADER, (
+        (c.early, c.late, None if c.weights is None else "|".join(map(str, c.weights)),
+         c.auc_roc, c.auc_pr, c.f1) for c in result.cells))

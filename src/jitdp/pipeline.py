@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -23,6 +23,7 @@ from .corpus import (
     sort_chronologically,
     stratified_kfold,
     undersample,
+    write_csv,
 )
 from .deep_model import (
     DeepConfig,
@@ -33,6 +34,7 @@ from .deep_model import (
     write_train_log,
 )
 from .evaluation import (
+    MetricReport,
     cliffs_delta,
     correction_analysis,
     group_metric_samples,
@@ -104,29 +106,31 @@ class RunConfig:
     early_strategies: tuple = ("sc", "tc", "amf", "gmf")
     drop_rates: tuple = ()
 
+    def _sub_config(self, cls):
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
     def deep_config(self) -> DeepConfig:
-        return DeepConfig(
-            embed_dim=self.embed_dim, filters=self.filters, windows=tuple(self.windows),
-            hidden=self.hidden, dropout=self.dropout, lr=self.lr,
-            batch_size=self.batch_size, epochs=self.epochs, gmf_beta=self.gmf_beta,
-        )
+        return self._sub_config(DeepConfig)
 
     def text_shape(self) -> TextShape:
-        return TextShape(l_msg=self.l_msg, l_code=self.l_code, files=self.files)
+        return self._sub_config(TextShape)
 
     def as_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("ratios", "windows", "early_strategies", "drop_rates"):
-            d[key] = list(d[key])
-        return d
+        return {k: list(v) if k in _TUPLE_FIELDS else v for k, v in asdict(self).items()}
+
+
+# The RunConfig fields held as tuples, which JSON holds as lists.
+_TUPLE_FIELDS = ("ratios", "windows", "early_strategies", "drop_rates")
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    kwargs = dict(d)
-    for key in ("ratios", "windows", "early_strategies", "drop_rates"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return RunConfig(**kwargs)
+    """The RunConfig of a JSON object. A value of the wrong type or out of
+    range is a ValueError naming its key; an unknown key is a TypeError."""
+    d = dict(d)
+    for key, (check, what) in _CONFIG_FIELDS.items():
+        if key in d and not check(d[key]):
+            raise ValueError(f"run config entry '{key}' must be {what}, not {d[key]!r}")
+    return RunConfig(**{k: tuple(v) if k in _TUPLE_FIELDS else v for k, v in d.items()})
 
 
 def config_hash(config: RunConfig) -> str:
@@ -148,20 +152,6 @@ def _write_json(path, obj) -> None:
         handle.write("\n")
 
 
-class _Provenance:
-    """Stage-ordered log; the leakage audit is that no stage before
-    'evaluate' declares reading test labels."""
-
-    def __init__(self):
-        self.lines = []
-
-    def note(self, stage: str, detail: str):
-        self.lines.append(f"{stage}: {detail}")
-
-    def write(self, path):
-        Path(path).write_text("\n".join(self.lines) + "\n", encoding="utf-8")
-
-
 def _train_documents(commits):
     """Each commit's message tokens, then its change documents, one at a
     time, so the vocabulary counter never holds them all."""
@@ -176,10 +166,13 @@ def _dataset(commits, vocab: Vocab, shape: TextShape, x_cat, x_cont):
     return replace(build_dataset(commits, vocab, shape), x_cat=x_cat, x_cont=x_cont)
 
 
-def _metric_row(name, report):
-    d = asdict(report)
-    d["model"] = name
-    return d
+def _model_scores(sim, deep_params, deep_cfg: DeepConfig, early_strategies, x, ds) -> dict:
+    """Each model's scores of the same commits: "sim" of the feature rows x,
+    then "com" and one "fused_<s>" per early strategy from one pass of the
+    stack ("none", *early_strategies) over the dataset ds."""
+    deep = score_dataset(deep_params, deep_cfg, ds, ("none", *early_strategies))
+    return {"sim": forest_predict_many(sim, x), "com": deep[:, 0],
+            **{f"fused_{s}": deep[:, m] for m, s in enumerate(early_strategies, 1)}}
 
 
 def run_pipeline(config: RunConfig, until: str = "evaluate") -> Path:
@@ -205,22 +198,17 @@ def run_pipeline(config: RunConfig, until: str = "evaluate") -> Path:
 
 
 def _run_corpus(corpus, config: RunConfig, out: Path, until: str) -> None:
-    if config.split_mode == "chronological":
-        _run_once(corpus, config, out, until)
-    elif config.split_mode == "kfold":
-        labels = {c.commit_id: c.label for c in corpus}
-        if any(v is None for v in labels.values()):
-            raise PipelineError("split", DataError("k-fold mode needs fully labeled corpora"))
-        try:
-            folds = stratified_kfold(labels, config.folds, config.seed)
-        except (DataError, ValueError) as exc:
-            raise PipelineError("split", exc) from exc
-        for f in range(config.folds):
-            sub = out / f"fold_{f}"
-            sub.mkdir(parents=True, exist_ok=True)
-            _run_once(corpus, config, sub, until, fold_assignment=folds, fold=f)
-    else:
-        raise PipelineError("split", ValueError(f"unknown split mode '{config.split_mode}'"))
+    """One run per split of the corpus, k-fold runs in fold_<f>/ subdirs;
+    the corpus is ordered and featurized once for all of them."""
+    ordered = sort_chronologically(corpus)
+    splits = _stage("split", _split_rows, ordered, config)
+    features = _stage("features", featurize_corpus, ordered)
+    for f, rows in enumerate(splits):
+        sub = out / f"fold_{f}" if config.split_mode == "kfold" else out
+        sub.mkdir(parents=True, exist_ok=True)
+        notes = []
+        _run_once(ordered, features, config, sub, until, rows, notes)
+        (sub / "provenance.log").write_text("\n".join(notes) + "\n", encoding="utf-8")
 
 
 def _stage(stage, fn, *args, **kwargs):
@@ -232,81 +220,77 @@ def _stage(stage, fn, *args, **kwargs):
         raise PipelineError(stage, exc) from exc
 
 
-def _split_ids(corpus, config: RunConfig, fold_assignment, fold):
-    """(train_ids, val_ids, test_ids) in chronological order each."""
-    ordered = sort_chronologically(corpus)
-    if fold_assignment is None:
-        split = chronological_split(corpus, config.ratios)
-        train = [c.commit_id for c in ordered if c.commit_id in split.train_ids]
-        val = [c.commit_id for c in ordered if c.commit_id in split.validation_ids]
-        test = [c.commit_id for c in ordered if c.commit_id in split.test_ids]
-        return train, val, test
-    test = [c.commit_id for c in ordered if fold_assignment[c.commit_id] == fold]
-    rest = [c.commit_id for c in ordered if fold_assignment[c.commit_id] != fold]
+def _split_rows(ordered, config: RunConfig) -> list:
+    """(train, validation, test) row positions into the chronologically
+    ordered corpus, each ascending: one split in chronological mode, one per
+    fold in k-fold mode, where the commits outside the fold are cut into
+    train and validation at the ratio of those two."""
+    if config.split_mode == "chronological":
+        # chronological_split cuts this same order into consecutive parts.
+        split = chronological_split(ordered, config.ratios)
+        n_train, n_val = len(split.train_ids), len(split.validation_ids)
+        rows = np.arange(len(ordered))
+        return [(rows[:n_train], rows[n_train : n_train + n_val], rows[n_train + n_val :])]
+    if config.split_mode != "kfold":
+        raise ValueError(f"unknown split mode '{config.split_mode}'")
+    if any(c.label is None for c in ordered):
+        raise DataError("k-fold mode needs fully labeled corpora")
+    folds = stratified_kfold({c.commit_id: c.label for c in ordered}, config.folds, config.seed)
+    fold_of = np.array([folds[c.commit_id] for c in ordered])
     share = config.ratios[0] / (config.ratios[0] + config.ratios[1])
-    n_train = int(np.floor(len(rest) * share))
-    if n_train == 0 or n_train == len(rest):
-        raise DataError("fold split leaves an empty train or validation part")
-    return rest[:n_train], rest[n_train:], test
+    splits = []
+    for f in range(config.folds):
+        rest = np.flatnonzero(fold_of != f)
+        n_train = int(np.floor(len(rest) * share))
+        if n_train == 0 or n_train == len(rest):
+            raise DataError("fold split leaves an empty train or validation part")
+        splits.append((rest[:n_train], rest[n_train:], np.flatnonzero(fold_of == f)))
+    return splits
 
 
-def _run_once(corpus, config: RunConfig, out: Path, until: str,
-              fold_assignment=None, fold=None) -> None:
-    prov = _Provenance()
+def _run_once(ordered, features, config: RunConfig, out: Path, until: str, rows, notes) -> None:
+    """One run on one split of the featurized corpus, given as row
+    positions, through the stage `until`. Each stage appends what it read
+    to notes, the lines of provenance.log; the leakage audit is that no
+    stage before 'evaluate' declares reading test labels."""
+    train, val, test = rows
     cfg_hash = config_hash(config)
     provenance = f"{cfg_hash}:{config.seed}"
     _write_json(out / "config.json", {"config": config.as_dict(), "hash": cfg_hash, "seed": config.seed})
-    prov.note("load", f"{len(corpus)} commits from {config.corpus or '<in-memory>'}")
+    notes.append(f"load: {len(ordered)} commits from {config.corpus or '<in-memory>'}")
+    notes.append(f"split: train={len(train)} validation={len(val)} test={len(test)} "
+                 f"(ids and timestamps only, no labels read)")
 
-    ordered = sort_chronologically(corpus)
-    by_id = {c.commit_id: c for c in ordered}
-    labels = {c.commit_id: c.label for c in ordered}
-    train_ids, val_ids, test_ids = _stage("split", _split_ids, corpus, config, fold_assignment, fold)
-    prov.note("split", f"train={len(train_ids)} validation={len(val_ids)} test={len(test_ids)} "
-                       f"(ids and timestamps only, no labels read)")
-
-    features = _stage("features", featurize_corpus, ordered)
     write_feature_table(out / "features.csv", ordered, features)
-    (out / "train_ids.txt").write_text("\n".join(train_ids) + "\n", encoding="utf-8")
+    (out / "train_ids.txt").write_text("\n".join(ordered[j].commit_id for j in train) + "\n",
+                                       encoding="utf-8")
     x_all = features.matrix
-    row_of = {c.commit_id: j for j, c in enumerate(ordered)}
-
-    def rows(ids):
-        return [row_of[i] for i in ids]
-
-    stats = fit_train_stats(x_all[rows(train_ids)], split="train", provenance=provenance)
+    stats = fit_train_stats(x_all[train], split="train", provenance=provenance)
     x_cat, x_cont = normalize_features(x_all, stats)
-
-    prov.note("features", "feature table over all commits; z-stats from train rows only")
+    notes.append("features: feature table over all commits; z-stats from train rows only")
     if until == "features":
-        prov.write(out / "provenance.log")
         return
 
-    vocab = _stage("vocab", build_vocab, _train_documents([by_id[i] for i in train_ids]),
+    vocab = _stage("vocab", build_vocab, _train_documents(ordered[j] for j in train),
                    config.vocab_max_size, config.vocab_min_frequency)
     save_vocab(out / "vocab.txt", vocab)
-    prov.note("vocab", f"{len(vocab)} entries from train messages and change documents")
+    notes.append(f"vocab: {len(vocab)} entries from train messages and change documents")
 
     shape = config.text_shape()
     deep_cfg = config.deep_config()
-
-    def encoded(ids):
-        r = rows(ids)
-        return _dataset([by_id[i] for i in ids], vocab, shape, x_cat[r], x_cont[r])
-
-    train_ds, val_ds, test_ds = encoded(train_ids), encoded(val_ids), encoded(test_ids)
-    # The commit model first, then one early-fused model per strategy
-    strategies = ("none", *config.early_strategies)
+    train_ds, val_ds, test_ds = (_dataset([ordered[j] for j in r], vocab, shape, x_cat[r], x_cont[r])
+                                 for r in rows)
 
     def _train_models():
-        balanced = sorted(undersample(train_ids, labels, config.seed))
-        x_train = x_all[rows(balanced)]
-        y_train = np.array([labels[i] for i in balanced])
-        sim = train_forest(x_train, y_train, ForestConfig(n_trees=config.forest_trees),
-                           seed=config.seed)
+        row_of = {ordered[j].commit_id: j for j in train}
+        labels = {i: ordered[j].label for i, j in row_of.items()}
+        balanced = sorted(undersample(row_of, labels, config.seed))
+        sim = train_forest(x_all[[row_of[i] for i in balanced]], np.array([labels[i] for i in balanced]),
+                           ForestConfig(n_trees=config.forest_trees), seed=config.seed)
         save_forest(out / "sim_forest.ckpt", sim)
+        # The commit model first, then one early-fused model per strategy
         trained = train_deep(train_ds, val_ds, len(vocab), deep_cfg, seed=config.seed,
-                             strategy=strategies)
+                             strategy=("none", *config.early_strategies))
         names = ["com"] + [f"fused_{s}" for s in config.early_strategies]
         for name, (params, log) in zip(names, trained):
             save_params(out / f"{name}.ckpt", params)
@@ -314,21 +298,17 @@ def _run_once(corpus, config: RunConfig, out: Path, until: str,
         return sim, stack_params([params for params, _ in trained])
 
     sim, deep_params = _stage("train", _train_models)
-    prov.note("train", "sim on undersampled train; deep models on train with "
-                       "validation-based checkpoint selection")
+    notes.append("train: sim on undersampled train; deep models on train with "
+                 "validation-based checkpoint selection")
     if until == "train":
-        prov.write(out / "provenance.log")
         return
 
-    def deep_scores(ds):
-        """(com scores, {strategy: early-fused scores}) of one pass over ds."""
-        scores = score_dataset(deep_params, deep_cfg, ds, strategies)
-        return scores[:, 0], dict(zip(config.early_strategies, scores[:, 1:].T))
-
     def _sweep():
-        sim_val = forest_predict_many(sim, x_all[rows(val_ids)])
-        com_val, early_val = deep_scores(val_ds)
-        result = fusion.sweep_combinations(val_ds.labels, sim_val, com_val, early_val)
+        val_scores = _model_scores(sim, deep_params, deep_cfg, config.early_strategies,
+                                   x_all[val], val_ds)
+        result = fusion.sweep_combinations(
+            val_ds.labels, val_scores["sim"], val_scores["com"],
+            {s: val_scores[f"fused_{s}"] for s in config.early_strategies})
         fusion.write_sweep_log(out / "sweep_log.csv", result)
         return result
 
@@ -353,21 +333,17 @@ def _run_once(corpus, config: RunConfig, out: Path, until: str,
         "vocab_size": len(vocab),
     }
     _write_json(out / "bundle.json", manifest)
-    prov.note("sweep", f"20-cell sweep on validation AUC-PR; chose early={best.early} "
-                       f"late={best.late}")
+    notes.append(f"sweep: 20-cell sweep on validation AUC-PR; chose early={best.early} "
+                 f"late={best.late}")
     if until == "sweep":
-        prov.write(out / "provenance.log")
         return
 
     def _evaluate():
-        x_test = x_all[rows(test_ids)]
         y_test = test_ds.labels
-        com_test, early_test = deep_scores(test_ds)
-        scores = {"sim": forest_predict_many(sim, x_test), "com": com_test}
-        scores.update((f"fused_{s}", vals) for s, vals in early_test.items())
-        early_scores = None if best.early == "none" else scores[f"fused_{best.early}"]
-        scores["bundle"] = fusion.apply_bundle_rule(
-            best.early, best.late, best.weights, scores["sim"], scores["com"], early_scores)
+        scores = _model_scores(sim, deep_params, deep_cfg, config.early_strategies,
+                               x_all[test], test_ds)
+        scores["bundle"] = fusion.apply_bundle_rule(best.early, best.late, best.weights, scores["sim"],
+                                                    scores["com"], scores.get(f"fused_{best.early}"))
 
         reports = {name: prf1(vals, y_test) for name, vals in scores.items()}
         classes = {name: (vals > 0.5).astype(int) for name, vals in scores.items()}
@@ -395,29 +371,19 @@ def _run_once(corpus, config: RunConfig, out: Path, until: str,
         except ValueError as exc:
             analysis["group_samples"] = {"error": str(exc)}
 
-        with open(out / "metrics.csv", "w", encoding="utf-8") as handle:
-            cols = ["model", "auc_roc", "auc_pr", "precision", "recall", "f1",
-                    "tp", "fp", "tn", "fn", "threshold"]
-            handle.write(",".join(cols) + "\n")
-            for name in sorted(reports):
-                row = _metric_row(name, reports[name])
-                handle.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                                      for c in cols) + "\n")
+        write_csv(out / "metrics.csv", ",".join(["model", *(f.name for f in fields(MetricReport))]),
+                  ([name, *astuple(reports[name])] for name in sorted(reports)))
         _write_json(out / "metrics.json", {
             "provenance": provenance,
             "reports": {k: asdict(v) for k, v in sorted(reports.items())},
             "analysis": analysis,
         })
-        with open(out / "predictions.csv", "w", encoding="utf-8") as handle:
-            names = sorted(scores)
-            handle.write("commit_id,label," + ",".join(names) + "\n")
-            for j, cid in enumerate(test_ids):
-                vals = ",".join(repr(float(scores[n][j])) for n in names)
-                handle.write(f"{cid},{y_test[j]},{vals}\n")
+        names = sorted(scores)
+        write_csv(out / "predictions.csv", ",".join(["commit_id", "label", *names]),
+                  zip(test_ds.commit_ids, y_test.tolist(), *(scores[n].tolist() for n in names)))
 
     _stage("evaluate", _evaluate)
-    prov.note("evaluate", "test labels read here, first and only time")
-    prov.write(out / "provenance.log")
+    notes.append("evaluate: test labels read here, first and only time")
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +442,34 @@ _OBJECT_ENTRIES = {
               "provenance": _STRING},
     "deep_config": {
         "embed_dim": _POSITIVE_INT, "filters": _POSITIVE_INT,
-        "windows": (lambda v: isinstance(v, list) and v != [] and all(map(_POSITIVE_INT[0], v)),
-                    "a non-empty list of positive integers"),
+        "windows": (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+                    and all(map(_POSITIVE_INT[0], v)), "a non-empty list of positive integers"),
         "hidden": _POSITIVE_INT, "dropout": _NUMBER, "lr": _NUMBER,
         "batch_size": _POSITIVE_INT, "epochs": _POSITIVE_INT, "gmf_beta": _NUMBER,
     },
     "text_shape": {"l_msg": _POSITIVE_INT, "l_code": _POSITIVE_INT, "files": _POSITIVE_INT},
+}
+
+
+def _list_of(ok, what, length=None):
+    """A check that a value is a list (or tuple) of items that pass ok."""
+    return (lambda v: isinstance(v, (list, tuple)) and (length is None or len(v) == length)
+            and all(map(ok, v)), what)
+
+
+_NON_NEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+# What each RunConfig value must be; the deep model's and the encoding's
+# fields are checked as in a bundle manifest.
+_CONFIG_FIELDS = {
+    "corpus": _STRING, "out": _STRING, "seed": _NON_NEGATIVE_INT,
+    "split_mode": (lambda v: v in ("chronological", "kfold"), "chronological or kfold"),
+    "ratios": _list_of(lambda r: _is_number(r) and r > 0, "a list of 3 positive numbers", 3),
+    "folds": _POSITIVE_INT, "vocab_max_size": _POSITIVE_INT,
+    "vocab_min_frequency": _NON_NEGATIVE_INT, "forest_trees": _POSITIVE_INT,
+    "early_strategies": _list_of(lambda s: s in fusion.EARLY_STRATEGIES and s != "none",
+                                 "a list of early strategies other than none"),
+    "drop_rates": _list_of(lambda r: _is_number(r) and 0 <= r < 1, "a list of numbers in [0, 1)"),
+    **_OBJECT_ENTRIES["deep_config"], **_OBJECT_ENTRIES["text_shape"],
 }
 
 
@@ -578,37 +566,26 @@ def predict_commits(bundle: LoadedBundle, corpus) -> list:
     ordered = sort_chronologically(corpus)
     x = featurize_corpus(ordered).matrix
     ds = _dataset(ordered, bundle.vocab, bundle.shape, *normalize_features(x, bundle.stats))
-    sim_scores = forest_predict_many(bundle.sim, x)
-    strategies = ("none",) if bundle.early == "none" else ("none", bundle.early)
-    deep = score_dataset(bundle.deep_params, bundle.deep_cfg, ds, strategies)
-    com_scores = deep[:, 0]
-    early_scores = None if bundle.early == "none" else deep[:, 1]
+    scores = _model_scores(bundle.sim, bundle.deep_params, bundle.deep_cfg,
+                           () if bundle.early == "none" else (bundle.early,), x, ds)
+    early_scores = scores.get(f"fused_{bundle.early}")
     fused = fusion.apply_bundle_rule(bundle.early, bundle.late, bundle.weights,
-                                     sim_scores, com_scores, early_scores)
+                                     scores["sim"], scores["com"], early_scores)
     pos = {c.commit_id: j for j, c in enumerate(ordered)}
     at = np.array([pos[c.commit_id] for c in corpus])
     fused = fused.take(at)
     early = repeat(None) if early_scores is None else early_scores.take(at).tolist()
     return list(zip([c.commit_id for c in corpus], fused.tolist(),
-                    (fused > 0.5).astype(np.int64).tolist(), sim_scores.take(at).tolist(),
-                    com_scores.take(at).tolist(), early))
+                    (fused > 0.5).astype(np.int64).tolist(), scores["sim"].take(at).tolist(),
+                    scores["com"].take(at).tolist(), early))
 
 
 PREDICTIONS_HEADER = "commit_id,fused_score,class,sim_score,com_score,early_score"
 
 
-def format_prediction(row) -> str:
-    """One predictions CSV line, without its newline."""
-    cid, fused, cls, sim_s, com_s, early_s = row
-    early_txt = "" if early_s is None else repr(early_s)
-    return f"{cid},{fused!r},{cls},{sim_s!r},{com_s!r},{early_txt}"
-
-
 def write_predictions(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(PREDICTIONS_HEADER + "\n")
-        for row in rows:
-            handle.write(format_prediction(row) + "\n")
+    """The rows of predict_commits as a CSV file, under PREDICTIONS_HEADER."""
+    write_csv(path, PREDICTIONS_HEADER, rows)
 
 
 def explain_commit(bundle: LoadedBundle, corpus, commit_id: str,
@@ -618,12 +595,9 @@ def explain_commit(bundle: LoadedBundle, corpus, commit_id: str,
     vectors = featurize_corpus(ordered)
     if commit_id not in vectors:
         raise DataError(f"commit '{commit_id}' not present in the stream")
-    x = vectors[commit_id].as_array()
-
-    def predict_fn(rows):
-        return forest_predict_many(bundle.sim, rows)
-
-    return explain_instance(predict_fn, x, train_matrix, n_samples=n_samples, seed=seed)
+    return explain_instance(lambda rows: forest_predict_many(bundle.sim, rows),
+                            vectors[commit_id].as_array(), train_matrix,
+                            n_samples=n_samples, seed=seed)
 
 
 def read_feature_table(path) -> tuple:

@@ -288,6 +288,13 @@ class TestExplainCommand:
                      "--corpus", str(corpus_path), "--commit", "nope"])
         assert code == 2
 
+    def test_zero_samples_is_usage_error(self, run_dir, corpus_path, capsys):
+        code = main(["explain", "--bundle", str(run_dir / "bundle.json"), "--corpus",
+                     str(corpus_path), "--commit", load_commit_stream(corpus_path)[5].commit_id,
+                     "--samples", "0"])
+        assert code == 1
+        assert "n_samples" in capsys.readouterr().err
+
 
 class TestSynthesizeCommand:
     def test_writes_ready_corpus(self, tmp_path):
@@ -309,6 +316,19 @@ class TestExitCodes:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"corpus": str(corpus_path), "threads": 2}))
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("entry", [
+        {"epochs": "2"}, {"seed": 1.5}, {"seed": -1}, {"forest_trees": "5"}, {"l_msg": -3},
+        {"windows": [0]}, {"windows": []}, {"dropout": None}, {"split_mode": "random"},
+        {"ratios": [0.5, 0.5]}, {"folds": 0}, {"vocab_max_size": True},
+        {"early_strategies": ["none"]}, {"drop_rates": [1.0]}, {"corpus": 7},
+    ])
+    def test_mistyped_config_value_is_usage_error(self, tmp_path, corpus_path, capsys, entry):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"corpus": str(corpus_path), "out": str(tmp_path / "o"), **entry}))
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        assert f"'{next(iter(entry))}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

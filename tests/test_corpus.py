@@ -14,6 +14,7 @@ from jitdp.corpus import (
     SyntheticSpec,
     chronological_split,
     commit_to_json,
+    csv_line,
     drop_large_commits,
     load_commit_stream,
     parse_commit_line,
@@ -360,3 +361,27 @@ class TestCommitJsonRoundTrip:
         line = commit_to_json(record)
         assert "\n" not in line
         assert parse_commit_line(line, 1) == record
+
+
+def _writer_cell(value) -> str:
+    """How each CSV writer printed a value before they shared csv_line:
+    repr for floats, str for ints and strings, blank for None."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+_EDGE_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e16,
+                                5e-324, -5e-324, 1e-5, 0.1, 2.0**53 + 1, 1.7976931348623157e308])
+_CSV_VALUES = st.one_of(st.none(), st.floats(), _EDGE_FLOATS, st.integers(), st.text())
+
+
+class TestCsvLine:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(_CSV_VALUES, max_size=8))
+    def test_matches_each_writers_rule(self, values):
+        assert csv_line(values) == ",".join(map(_writer_cell, values))
+
+    def test_numpy_scalars_after_tolist(self):
+        row = np.array([0.1, 1e16, -0.0]).tolist() + np.array([3], dtype=np.int64).tolist()
+        assert csv_line(row) == "0.1,1e+16,-0.0,3"

@@ -209,6 +209,15 @@ class TestTrainDeep:
         with pytest.raises(TrainingError, match="validation"):
             train_deep(train, empty_val, len(vocab), DESK_CONFIG, seed=0)
 
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_one_class_validation_rejected_before_training(self, label, monkeypatch):
+        # every epoch's validation AUC would be NaN, so no epoch could be kept
+        train, val, _, vocab = _datasets(SyntheticSpec(size=150, seed=3))
+        one_class = dataclasses.replace(val, labels=np.full(len(val), label))
+        monkeypatch.setattr(nn, "adam_step", lambda *a: pytest.fail("an epoch ran"))
+        with pytest.raises(TrainingError, match="validation split must contain both classes"):
+            train_deep(train, one_class, len(vocab), DESK_CONFIG, seed=0)
+
     def test_class_weight_doubles_defective_loss_terms(self):
         rng = np.random.default_rng(9)
         probs = rng.dirichlet((1, 1), size=8)

@@ -30,6 +30,12 @@ def _logistic_on(index, train):
 
 
 class TestExplainInstance:
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_sample_count_below_one_rejected(self, train_matrix, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            explain_instance(lambda rows: np.zeros(len(rows)), train_matrix[3], train_matrix,
+                             n_samples=n_samples)
+
     def test_constant_scorer_gives_zero_weights_and_zero_fidelity(self, train_matrix):
         exp = explain_instance(lambda rows: np.full(len(rows), 0.37), train_matrix[3], train_matrix,
                                n_samples=300, seed=1)

@@ -1,13 +1,24 @@
 """Pipeline-mode tests that the CLI module does not cover: stratified
 k-fold runs and bundle round-trips."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from jitdp.corpus import SyntheticSpec, save_commit_stream, synthesize_corpus
-from jitdp.pipeline import RunConfig, load_bundle, predict_commits, run_pipeline
+from jitdp.corpus import (
+    SyntheticSpec,
+    chronological_split,
+    load_commit_stream,
+    save_commit_stream,
+    sort_chronologically,
+    stratified_kfold,
+    synthesize_corpus,
+)
+from jitdp.deep_model import stack_params
+from jitdp.nn import load_params
+from jitdp.pipeline import RunConfig, _split_rows, load_bundle, predict_commits, run_pipeline
 
 TINY = dict(l_msg=16, l_code=32, files=3, embed_dim=6, filters=6, hidden=12,
             epochs=1, batch_size=32, lr=4e-3, dropout=0.25, forest_trees=20,
@@ -65,3 +76,48 @@ class TestBundleRoundTrip:
             parts = line.split(",")
             expected = float(parts[2 + bundle_col])
             assert by_id[parts[0]][1] == pytest.approx(expected, abs=1e-12)
+
+
+class TestSplitRows:
+    def test_chronological_rows_are_the_chronological_split(self, corpus_file):
+        corpus = load_commit_stream(corpus_file)
+        ordered = sort_chronologically(corpus)
+        [rows] = _split_rows(ordered, RunConfig())
+        split = chronological_split(corpus, RunConfig().ratios)
+        assert [{ordered[j].commit_id for j in r} for r in rows] == [
+            split.train_ids, split.validation_ids, split.test_ids]
+        assert np.array_equal(np.concatenate(rows), np.arange(len(ordered)))
+
+    def test_kfold_rows_test_each_fold_and_cut_the_rest_in_order(self, corpus_file):
+        corpus = load_commit_stream(corpus_file)
+        ordered = sort_chronologically(corpus)
+        folds = stratified_kfold({c.commit_id: c.label for c in corpus}, 3, 3)
+        splits = _split_rows(ordered, RunConfig(split_mode="kfold", folds=3, seed=3))
+        assert len(splits) == 3
+        for f, (train, val, test) in enumerate(splits):
+            assert {ordered[j].commit_id for j in test} == {i for i, k in folds.items() if k == f}
+            rest = [j for j in range(len(ordered)) if folds[ordered[j].commit_id] != f]
+            assert [*train, *val] == rest
+            train_r, val_r, _ = RunConfig().ratios
+            assert len(train) == int(len(rest) * train_r / (train_r + val_r))
+
+
+class TestModelScores:
+    def test_each_fused_column_is_its_own_models_scores(self, corpus_file, tmp_path):
+        """evaluate scores every model in one stacked pass; each fused_<s>
+        column of predictions.csv must be what fused_<s>.ckpt scores alone."""
+        out = tmp_path / "run"
+        strategies = ("sc", "tc", "gmf")
+        run_pipeline(RunConfig(corpus=str(corpus_file), out=str(out), seed=6,
+                               **{**TINY, "early_strategies": strategies}))
+        lines = (out / "predictions.csv").read_text().splitlines()
+        expected = {p[0]: dict(zip(lines[0].split(","), p))
+                    for p in (ln.split(",") for ln in lines[1:])}
+        bundle = load_bundle(out / "bundle.json")
+        corpus = load_commit_stream(corpus_file)
+        for s in strategies:
+            alone = dataclasses.replace(bundle, early=s, late="simple", weights=None, deep_params=stack_params(
+                [load_params(out / "com.ckpt"), load_params(out / f"fused_{s}.ckpt")]))
+            scored = {row[0]: row[5] for row in predict_commits(alone, corpus)}
+            for cid, row in expected.items():
+                assert scored[cid] == pytest.approx(float(row[f"fused_{s}"]), abs=1e-12), s
