@@ -150,17 +150,25 @@ def _heads(params: nn.Params, count: int) -> list:
     return heads
 
 
+def textcnn_layouts(params: nn.Params) -> dict:
+    """nn.textcnn_layout of each of the three textCNNs, by prefix."""
+    return {prefix: nn.textcnn_layout(params, prefix) for prefix in ("msg_cnn", "file_cnn", "agg_cnn")}
+
+
 def forward_batch(params: nn.Params, cfg: DeepConfig, msg_ids, file_ids, x_cat, x_cont,
-                  strategy: str = "none", training: bool = False, rng=None):
+                  strategy: str = "none", training: bool = False, rng=None, layouts=None):
     """Returns (probs (B, 2), z_m, z_c, cache). For a tuple of M strategies,
     params is the stack of one model per strategy (stack_params) and rng
     one dropout generator per model; each textCNN runs once for all of them,
     probs is a list of each model's (B, 2) and z_m, z_c are (B, M * filters)
-    in channel blocks."""
+    in channel blocks. layouts is textcnn_layouts(params) of parameters that
+    no longer change, or None to derive each layout in its textCNN."""
     strategies = (strategy,) if isinstance(strategy, str) else strategy
     rngs = (rng,) if isinstance(strategy, str) else rng or (None,) * len(strategies)
+    layouts = layouts or {}
     b, f, l_code = file_ids.shape
-    z_m, cache_m = nn.textcnn_forward(params, "msg_cnn", msg_ids, embedding=params["msg_emb"])
+    z_m, cache_m = nn.textcnn_forward(params, "msg_cnn", msg_ids, embedding=params["msg_emb"],
+                                      layout=layouts.get("msg_cnn"))
     # All-padding file rows share one encoding: the first of them is encoded
     # and broadcast to the rest, whose gradients backward_batch folds back.
     flat_files = file_ids.reshape(b * f, l_code)
@@ -170,9 +178,10 @@ def forward_batch(params: nn.Params, cfg: DeepConfig, msg_ids, file_ids, x_cat, 
     slot = np.cumsum(keep) - 1
     slot[pad] = slot[pad.argmax()]
     file_vecs_kept, cache_f = nn.textcnn_forward(params, "file_cnn", flat_files[keep],
-                                                 embedding=params["code_emb"])
+                                                 embedding=params["code_emb"],
+                                                 layout=layouts.get("file_cnn"))
     file_vecs = file_vecs_kept[slot].reshape(b, f, -1)
-    z_c, cache_a = nn.textcnn_forward(params, "agg_cnn", file_vecs)
+    z_c, cache_a = nn.textcnn_forward(params, "agg_cnn", file_vecs, layout=layouts.get("agg_cnn"))
     split, width = z_m.shape[1] // len(strategies), z_c.shape[1] // len(strategies)
     probs, heads = [], []
     for m, (head, s, r) in enumerate(zip(_heads(params, len(strategies)), strategies, rngs)):
@@ -221,17 +230,17 @@ def backward_batch(params: nn.Params, cache, d_logits) -> nn.Params:
 
 
 def score_dataset(params: nn.Params, cfg: DeepConfig, ds: DeepDataset,
-                  strategy: str = "none", batch: int = 256) -> np.ndarray:
+                  strategy: str = "none", batch: int = 256, layouts=None) -> np.ndarray:
     """Defect probabilities in evaluation mode, (N,). For a tuple of M
     strategies, params is their stack, scored in one pass: (N, M), one
-    column per model."""
+    column per model. layouts is as in forward_batch."""
     strategies = (strategy,) if isinstance(strategy, str) else strategy
     out = np.empty((len(strategies), len(ds)))
     for start in range(0, len(ds), batch):
         sl = slice(start, min(start + batch, len(ds)))
         probs, _, _, _ = forward_batch(
             params, cfg, ds.message_ids[sl], ds.file_ids[sl],
-            ds.x_cat[sl], ds.x_cont[sl], strategy=strategies, training=False)
+            ds.x_cat[sl], ds.x_cont[sl], strategy=strategies, training=False, layouts=layouts)
         for row, p in zip(out, probs):
             row[sl] = p[:, 1]
     return out[0] if isinstance(strategy, str) else out.T

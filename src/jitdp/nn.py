@@ -18,6 +18,7 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,25 +168,45 @@ def _pool_ids(taps_w, banks, ids, table):
             for i, (k, _, _) in enumerate(banks)]
 
 
-def textcnn_forward(params: Params, prefix: str, x: np.ndarray,
-                    embedding: np.ndarray | None = None):
-    """x is either (B, L) int token ids (embedding (V, M * d_in) required) or
-    (B, L, M * d_in) vectors. Returns (z, cache) with z of shape
-    (B, M * total filters). Sequences shorter than the largest window are
-    zero-extended."""
+class TextCNNLayout(NamedTuple):
+    """What a textCNN's forward pass reads of its parameters: the banks
+    (k, w_k, b_k) by ascending window k, the model count M, and the tap
+    matrix (M, taps, d_in) holding model m's taps of every bank, (j, f) in
+    order. The tap matrix is read-only."""
+
+    banks: list
+    models: int
+    taps_w: np.ndarray
+
+
+def textcnn_layout(params: Params, prefix: str) -> TextCNNLayout:
+    """The layout of the textCNN `prefix`, valid while its parameters keep
+    their values: a training step changes them in place, so training
+    derives it on every forward pass."""
     windows = sorted(int(n.rsplit(".w", 1)[1]) for n in params if n.startswith(f"{prefix}.w"))
     banks = [(k, params[f"{prefix}.w{k}"], params[f"{prefix}.b{k}"]) for k in windows]
     models = banks[0][2].size // banks[0][1].shape[0]
-    # (M, taps, d_in): model m's taps of every bank, (j, f) in order
     taps_w = np.concatenate([w.transpose(1, 0, 2).reshape(-1, w.shape[2]) for _, w, _ in banks])
     taps_w = taps_w.reshape(len(taps_w), models, -1).transpose(1, 0, 2)
+    taps_w.flags.writeable = False
+    return TextCNNLayout(banks, models, taps_w)
+
+
+def textcnn_forward(params: Params, prefix: str, x: np.ndarray,
+                    embedding: np.ndarray | None = None, layout: TextCNNLayout | None = None):
+    """x is either (B, L) int token ids (embedding (V, M * d_in) required) or
+    (B, L, M * d_in) vectors. Returns (z, cache) with z of shape
+    (B, M * total filters). Sequences shorter than the largest window are
+    zero-extended. layout is textcnn_layout(params, prefix), derived here
+    when not given."""
+    banks, models, taps_w = layout or textcnn_layout(params, prefix)
     ids = None
     orig_len = x.shape[1]
     if x.ndim == 2 and np.issubdtype(x.dtype, np.integer):
         if embedding is None:
             raise ValueError("token-id input needs an embedding table")
         ids = x
-        if orig_len < windows[-1]:
+        if orig_len < banks[-1][0]:
             x = embedding_forward(embedding, ids)
     if x is ids:
         pooled, x = _pool_ids(taps_w, banks, ids, embedding), None

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -30,6 +30,7 @@ from .deep_model import (
     build_dataset,
     score_dataset,
     stack_params,
+    textcnn_layouts,
     train_deep,
     write_train_log,
 )
@@ -166,11 +167,13 @@ def _dataset(commits, vocab: Vocab, shape: TextShape, x_cat, x_cont):
     return replace(build_dataset(commits, vocab, shape), x_cat=x_cat, x_cont=x_cont)
 
 
-def _model_scores(sim, deep_params, deep_cfg: DeepConfig, early_strategies, x, ds) -> dict:
+def _model_scores(sim, deep_params, deep_cfg: DeepConfig, early_strategies, x, ds,
+                  layouts=None) -> dict:
     """Each model's scores of the same commits: "sim" of the feature rows x,
     then "com" and one "fused_<s>" per early strategy from one pass of the
-    stack ("none", *early_strategies) over the dataset ds."""
-    deep = score_dataset(deep_params, deep_cfg, ds, ("none", *early_strategies))
+    stack ("none", *early_strategies) over the dataset ds; layouts is as in
+    score_dataset."""
+    deep = score_dataset(deep_params, deep_cfg, ds, ("none", *early_strategies), layouts=layouts)
     return {"sim": forest_predict_many(sim, x), "com": deep[:, 0],
             **{f"fused_{s}": deep[:, m] for m, s in enumerate(early_strategies, 1)}}
 
@@ -393,6 +396,10 @@ def _run_once(ordered, features, config: RunConfig, out: Path, until: str, rows,
 
 @dataclass
 class LoadedBundle:
+    """A trained bundle, ready to serve. Construction makes the deep
+    parameters read-only and derives their textCNN layouts once, so that
+    scoring a commit does not redo what depends on the bundle alone."""
+
     early: str
     late: str
     weights: tuple | None
@@ -403,6 +410,12 @@ class LoadedBundle:
     deep_cfg: DeepConfig
     shape: TextShape
     provenance: str
+    deep_layouts: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for value in self.deep_params.values():
+            value.flags.writeable = False
+        self.deep_layouts = textcnn_layouts(self.deep_params)
 
 
 def load_bundle(manifest_path) -> LoadedBundle:
@@ -444,7 +457,8 @@ _OBJECT_ENTRIES = {
         "embed_dim": _POSITIVE_INT, "filters": _POSITIVE_INT,
         "windows": (lambda v: isinstance(v, (list, tuple)) and len(v) > 0
                     and all(map(_POSITIVE_INT[0], v)), "a non-empty list of positive integers"),
-        "hidden": _POSITIVE_INT, "dropout": _NUMBER, "lr": _NUMBER,
+        "hidden": _POSITIVE_INT,
+        "dropout": (lambda v: _is_number(v) and 0 <= v < 1, "a number in [0, 1)"), "lr": _NUMBER,
         "batch_size": _POSITIVE_INT, "epochs": _POSITIVE_INT, "gmf_beta": _NUMBER,
     },
     "text_shape": {"l_msg": _POSITIVE_INT, "l_code": _POSITIVE_INT, "files": _POSITIVE_INT},
@@ -458,12 +472,15 @@ def _list_of(ok, what, length=None):
 
 
 _NON_NEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+_RATIOS = _list_of(lambda r: _is_number(r) and r > 0, "a list of 3 positive numbers", 3)
 # What each RunConfig value must be; the deep model's and the encoding's
 # fields are checked as in a bundle manifest.
 _CONFIG_FIELDS = {
     "corpus": _STRING, "out": _STRING, "seed": _NON_NEGATIVE_INT,
     "split_mode": (lambda v: v in ("chronological", "kfold"), "chronological or kfold"),
-    "ratios": _list_of(lambda r: _is_number(r) and r > 0, "a list of 3 positive numbers", 3),
+    # the sum within chronological_split's tolerance
+    "ratios": (lambda v: _RATIOS[0](v) and abs(sum(v) - 1.0) <= 1e-9,
+               "a list of 3 positive numbers that sum to 1"),
     "folds": _POSITIVE_INT, "vocab_max_size": _POSITIVE_INT,
     "vocab_min_frequency": _NON_NEGATIVE_INT, "forest_trees": _POSITIVE_INT,
     "early_strategies": _list_of(lambda s: s in fusion.EARLY_STRATEGIES and s != "none",
@@ -567,7 +584,8 @@ def predict_commits(bundle: LoadedBundle, corpus) -> list:
     x = featurize_corpus(ordered).matrix
     ds = _dataset(ordered, bundle.vocab, bundle.shape, *normalize_features(x, bundle.stats))
     scores = _model_scores(bundle.sim, bundle.deep_params, bundle.deep_cfg,
-                           () if bundle.early == "none" else (bundle.early,), x, ds)
+                           () if bundle.early == "none" else (bundle.early,), x, ds,
+                           bundle.deep_layouts)
     early_scores = scores.get(f"fused_{bundle.early}")
     fused = fusion.apply_bundle_rule(bundle.early, bundle.late, bundle.weights,
                                      scores["sim"], scores["com"], early_scores)

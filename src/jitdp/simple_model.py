@@ -29,6 +29,12 @@ _LEAF = -1
 # stream at once costs tens of MiB and walks slower out of cache.
 _PREDICT_BLOCK = 256
 
+# Blocks of at most this many rows walk by node conditions: every node's
+# split is evaluated once, then the next-node array is followed. On the
+# acceptance forest (29,252 nodes, depth 23) one row walked 2-2.5x faster
+# this way than level by level.
+_NODE_WALK_ROWS = 1
+
 
 @dataclass(frozen=True)
 class ForestConfig:
@@ -40,10 +46,13 @@ class ForestModel:
     """The trees as one float64 node table, laid end to end, and each
     tree's node count; the walk arrays are derived from them once.
 
-    The walk numbers the nodes of all trees consecutively. `_feature`,
-    `_threshold` and `_p_defective` are per node; `_child[2 * node +
-    go_left]` is the next node, and a leaf's children are itself. `_roots`
-    are the trees' first nodes and `_depth` the longest root-to-leaf path.
+    The walk numbers the nodes of all trees by split feature, so `_feature`
+    ascends and holds `_counts[f]` nodes of feature f; a leaf counts as
+    feature 0. `_feature`, `_threshold` and `_p_defective` are per node;
+    `_child[2 * node + go_left]` is the next node, and a leaf's children are
+    itself. The same next node is `_right + _turn * go_left` in int32, for
+    the one-row walk. `_roots` are the trees' first nodes and `_depth` the
+    longest root-to-leaf path.
     """
 
     nodes: np.ndarray  # (n_nodes, 6), rows in the node table layout
@@ -54,7 +63,8 @@ class ForestModel:
     @property
     def trees(self) -> list:
         """Each tree's rows of the node table."""
-        return [self.nodes[a:a + n] for a, n in zip(self._roots.tolist(), self.tree_sizes.tolist())]
+        starts = np.cumsum(self.tree_sizes) - self.tree_sizes
+        return [self.nodes[a:a + n] for a, n in zip(starts.tolist(), self.tree_sizes.tolist())]
 
     def __post_init__(self):
         nodes, sizes = self.nodes, self.tree_sizes
@@ -62,20 +72,30 @@ class ForestModel:
         offset = np.repeat(roots, sizes)
         leaf = nodes[:, 0] == _LEAF
         ids = np.arange(len(nodes))
-        child = np.empty(2 * len(nodes), dtype=np.int64)
-        child[0::2] = np.where(leaf, ids, nodes[:, 3].astype(np.int64) + offset)
-        child[1::2] = np.where(leaf, ids, nodes[:, 2].astype(np.int64) + offset)
+        child = np.empty((len(nodes), 2), dtype=np.int64)
+        child[:, 0] = np.where(leaf, ids, nodes[:, 3].astype(np.int64) + offset)
+        child[:, 1] = np.where(leaf, ids, nodes[:, 2].astype(np.int64) + offset)
         depth = 0
         frontier = roots[~leaf[roots]]
         while frontier.size:
             depth += 1
-            frontier = np.concatenate([child[2 * frontier], child[2 * frontier + 1]])
+            frontier = child[frontier].ravel()
             frontier = frontier[~leaf[frontier]]
+        feature = np.where(leaf, 0, nodes[:, 0]).astype(np.int64)
+        # walk number of each table row: table rows in feature order
+        order = np.argsort(feature, kind="stable")
+        number = np.empty_like(order)
+        number[order] = ids
+        child = number[child[order]]
         # contiguous copies: take() on a strided column copies it every call
-        for name, value in (("_feature", np.where(leaf, 0, nodes[:, 0]).astype(np.int64)),
-                            ("_threshold", nodes[:, 1].copy()),
-                            ("_p_defective", nodes[:, 5].copy()),
-                            ("_child", child), ("_roots", roots), ("_depth", depth)):
+        for name, value in (("_feature", feature[order]),
+                            ("_counts", np.bincount(feature, minlength=self.n_features)),
+                            ("_threshold", nodes[order, 1]),
+                            ("_p_defective", nodes[order, 5]),
+                            ("_child", child.ravel()),
+                            ("_right", child[:, 0].astype(np.int32)),
+                            ("_turn", (child[:, 1] - child[:, 0]).astype(np.int32)),
+                            ("_roots", number[roots]), ("_depth", depth)):
             object.__setattr__(self, name, value)
 
 
@@ -269,11 +289,14 @@ def train_forest(x, y, config: ForestConfig = ForestConfig(), seed: int = 0) -> 
 
 
 def forest_predict_many(model: ForestModel, rows) -> np.ndarray:
-    """Defect probability per row, all trees walked one level at a time.
+    """Defect probability per row.
 
-    Each block of rows holds one current node per (row, tree); every step
-    moves all of them one level down, and leaves stay where they are, so
-    the walk of a block ends at the first step that moves none of them.
+    A block of up to _NODE_WALK_ROWS rows (one row) evaluates the split of
+    every node, which gives each node its next node, and follows those
+    _depth times from the roots. A larger block walks all trees one level at
+    a time: it holds one current node per (row, tree), and every step moves
+    all of them one level down. Leaves stay where they are either way, and
+    both walks make the same comparisons.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if len(rows) == 0:
@@ -283,15 +306,20 @@ def forest_predict_many(model: ForestModel, rows) -> np.ndarray:
     out = np.empty(len(rows))
     for start in range(0, len(rows), _PREDICT_BLOCK):
         block = rows[start:start + _PREDICT_BLOCK]
-        flat = block.ravel()
-        row_base = np.arange(0, flat.size, model.n_features)[:, None]
-        node = np.broadcast_to(model._roots, (len(block), len(model._roots)))
-        for _ in range(model._depth):
-            value = flat.take(row_base + model._feature.take(node))
-            step = model._child.take(2 * node + (value <= model._threshold.take(node)))
-            if (step == node).all():
-                break
-            node = step
+        if len(block) <= _NODE_WALK_ROWS:
+            # _feature ascends: the row's values repeated are the nodes' values
+            go = np.repeat(block[0], model._counts) <= model._threshold
+            step = model._right + model._turn * go
+            node = model._roots[None]
+            for _ in range(model._depth):
+                node = step.take(node)
+        else:
+            flat = block.ravel()
+            row_base = np.arange(0, flat.size, model.n_features)[:, None]
+            node = np.broadcast_to(model._roots, (len(block), len(model._roots)))
+            for _ in range(model._depth):
+                value = flat.take(row_base + model._feature.take(node))
+                node = model._child.take(2 * node + (value <= model._threshold.take(node)))
         out[start:start + len(block)] = model._p_defective.take(node).mean(axis=1)
     return out
 

@@ -5,6 +5,7 @@ The desk-scale reproduction criteria run the real pipeline on a seeded
 2,000-commit synthetic corpus with independent feature and text signals.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -14,12 +15,12 @@ import numpy as np
 import pytest
 
 from jitdp import nn
-from jitdp.corpus import SyntheticSpec, save_commit_stream, synthesize_corpus
+from jitdp.corpus import SyntheticSpec, load_commit_stream, save_commit_stream, synthesize_corpus
 from jitdp.deep_model import DeepConfig, backward_batch, forward_batch, init_deep_params
 from jitdp.evaluation import pr_auc, roc_auc, wilcoxon_signed_rank
 from jitdp.features import featurize_corpus, extract_features, HistoryIndex
 from jitdp.fusion import LateFusionRule, early_fuse_backward, early_fuse_forward, early_fusion_init, late_fuse
-from jitdp.pipeline import RunConfig, run_pipeline
+from jitdp.pipeline import RunConfig, load_bundle, predict_commits, run_pipeline
 
 from conftest import FIXTURE_COMMITS
 from test_evaluation import brute_force_roc, enumerate_wilcoxon, step_curve_ap
@@ -262,6 +263,22 @@ def desk_scale_run(tmp_path_factory):
     run_pipeline(_pipeline_config(corpus_path, out))
     elapsed = time.time() - start
     return {"base": base, "corpus": corpus_path, "out": out, "seconds": elapsed}
+
+
+def test_prepared_bundle_scores_as_unprepared_params(desk_scale_run):
+    """load_bundle derives the textCNN layouts once; the rows must be those
+    of deriving them from the parameters on every call, on the test split
+    scored as one batch and one commit at a time."""
+    out = desk_scale_run["out"]
+    bundle = load_bundle(out / "bundle.json")
+    unprepared = dataclasses.replace(bundle)
+    unprepared.deep_layouts = None
+    test_ids = {ln.split(",")[0] for ln in (out / "predictions.csv").read_text().splitlines()[1:]}
+    test = [c for c in load_commit_stream(desk_scale_run["corpus"]) if c.commit_id in test_ids]
+    assert len(test) == len(test_ids) == 400
+    assert predict_commits(bundle, test) == predict_commits(unprepared, test)
+    for c in test:
+        assert predict_commits(bundle, [c]) == predict_commits(unprepared, [c])
 
 
 def test_criterion_5_qualitative_reproduction(desk_scale_run):

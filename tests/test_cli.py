@@ -250,6 +250,7 @@ class TestPredictCommand:
         ("weights", lambda m: m | {"early": "none", "late": "weighted", "weights": [1, -1]}),
         ("stats.std", lambda m: m | {"stats": m["stats"] | {"std": []}}),
         ("text_shape.l_code", lambda m: m | {"text_shape": m["text_shape"] | {"l_code": -4}}),
+        ("deep_config.dropout", lambda m: m | {"deep_config": m["deep_config"] | {"dropout": 1.0}}),
     ])
     def test_malformed_manifest_entry_is_data_error(self, run_dir, tmp_path, corpus_path,
                                                     entry, edit, capsys):
@@ -322,6 +323,7 @@ class TestExitCodes:
         {"windows": [0]}, {"windows": []}, {"dropout": None}, {"split_mode": "random"},
         {"ratios": [0.5, 0.5]}, {"folds": 0}, {"vocab_max_size": True},
         {"early_strategies": ["none"]}, {"drop_rates": [1.0]}, {"corpus": 7},
+        {"dropout": 1.0}, {"ratios": [0.5, 0.3, 0.3]},
     ])
     def test_mistyped_config_value_is_usage_error(self, tmp_path, corpus_path, capsys, entry):
         cfg = tmp_path / "c.json"
@@ -395,6 +397,10 @@ class TestRunConfig:
         """Bundle and metrics provenance strings carry this hash, so a
         RunConfig edit must not move it unnoticed."""
         assert config_hash(RunConfig(corpus="x", seed=1)) == "871a9c34598a7678"
+
+    def test_ratios_within_the_split_tolerance_of_one(self):
+        # their float sum is 0.9999999999999999, which chronological_split accepts
+        assert config_from_dict({"ratios": [0.2, 0.7, 0.1]}).ratios == (0.2, 0.7, 0.1)
 
     def test_every_field_has_a_default(self):
         cfg = RunConfig()

@@ -77,6 +77,19 @@ class TestBundleRoundTrip:
             expected = float(parts[2 + bundle_col])
             assert by_id[parts[0]][1] == pytest.approx(expected, abs=1e-12)
 
+    def test_loaded_deep_arrays_are_read_only(self, corpus_file, tmp_path):
+        """The prepared textCNN layouts read the deep arrays, so a write to
+        one of them must fail rather than leave a layout stale."""
+        out = tmp_path / "run"
+        run_pipeline(RunConfig(corpus=str(corpus_file), out=str(out), seed=6, **TINY), until="sweep")
+        bundle = load_bundle(out / "bundle.json")
+        arrays = [*bundle.deep_params.values(), *(layout.taps_w for layout in bundle.deep_layouts.values())]
+        for value in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            bundle.deep_params["msg_cnn.w1"] += 1.0
+
 
 class TestSplitRows:
     def test_chronological_rows_are_the_chronological_split(self, corpus_file):

@@ -303,6 +303,25 @@ class TestArrayForest:
         assert np.array_equal(forest_predict_many(model, rows), _scalar_predict(trees, rows))
         assert _predict_one(model, rows[0]) == _scalar_predict(trees, rows[:1])[0]
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(20, 80), n_trees=st.integers(1, 12),
+           n_rows=st.integers(simple_model._NODE_WALK_ROWS + 1, 40))
+    def test_block_equals_its_rows_one_at_a_time(self, seed, n, n_trees, n_rows):
+        """The level walk of a block gives each row the bits of the node
+        walk of that row alone."""
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.normal(size=(n, 14)), 1)
+        y = (x[:, 4] + rng.normal(size=n) > 0).astype(int)
+        y[:2] = (0, 1)
+        model = train_forest(x, y, ForestConfig(n_trees=n_trees), seed=seed)
+        rows = rng.normal(size=(n_rows, 14))
+        thresholds = _thresholds(model)
+        if thresholds.size:
+            on_split = rng.random(rows.shape) < 0.5
+            rows[on_split] = rng.choice(thresholds, size=int(on_split.sum()))
+        alone = np.array([_predict_one(model, row) for row in rows])
+        assert forest_predict_many(model, rows).tobytes() == alone.tobytes()
+
     def test_value_equal_to_threshold_goes_left(self):
         stump = ((2, 0.5, 1, 2, 0.5, 0.5), (-1, 0.0, -1, -1, 1.0, 0.0),
                  (-1, 0.0, -1, -1, 0.0, 1.0))
