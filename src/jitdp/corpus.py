@@ -2,10 +2,10 @@
 
 A corpus is an ordered list of CommitRecord objects. On disk a corpus is a
 UTF-8 JSON-lines file, one commit object per line with keys:
-commit_id (str), timestamp (int, seconds since epoch, strictly within
-+-2**62), author (str), message (str), files (list of {path, added_lines,
-removed_lines, loc_before}), and an optional label (0 or 1). Unknown keys
-are ignored.
+commit_id (str without a comma, CR or LF), timestamp (int, seconds since
+epoch, strictly within +-2**62), author (str), message (str), files (list
+of {path, added_lines, removed_lines, loc_before}), and an optional label
+(0 or 1). Unknown keys are ignored.
 
 All randomized operations take an explicit seed and reproduce bit-identical
 output for equal seeds.
@@ -60,7 +60,10 @@ class SplitAssignment:
 # strictly inside +-2**62 have a difference that int64 holds.
 TIMESTAMP_LIMIT = 2**62
 _REQUIRED_KEYS = ("commit_id", "timestamp", "author", "message", "files")
+_STRING_KEYS = ("commit_id", "author", "message")
 _FILE_KEYS = ("path", "added_lines", "removed_lines", "loc_before")
+# Characters a commit id must not hold: csv_line writes ids unquoted.
+_CSV_BREAKERS = frozenset(",\r\n")
 
 
 def _parse_file_entry(obj, line_no: int, idx: int) -> FileChange:
@@ -69,6 +72,8 @@ def _parse_file_entry(obj, line_no: int, idx: int) -> FileChange:
     for key in _FILE_KEYS:
         if key not in obj:
             raise DataError(f"line {line_no}: files[{idx}] missing field '{key}'")
+    if not isinstance(obj["path"], str):
+        raise DataError(f"line {line_no}: files[{idx}] field 'path' must be a string")
     added = obj["added_lines"]
     removed = obj["removed_lines"]
     if not isinstance(added, list) or not all(map(isinstance, added, repeat(str))):
@@ -79,7 +84,7 @@ def _parse_file_entry(obj, line_no: int, idx: int) -> FileChange:
     if type(loc_before) is not int or loc_before < 0:
         raise DataError(f"line {line_no}: files[{idx}] field 'loc_before' must be a non-negative integer")
     return FileChange(
-        path=str(obj["path"]),
+        path=obj["path"],
         added_lines=tuple(added),
         removed_lines=tuple(removed),
         loc_before=loc_before,
@@ -101,6 +106,9 @@ def parse_commit_line(line: str, line_no: int) -> CommitRecord:
         raise DataError(f"line {line_no}: field 'timestamp' must be an integer")
     if not -TIMESTAMP_LIMIT < obj["timestamp"] < TIMESTAMP_LIMIT:
         raise DataError(f"line {line_no}: field 'timestamp' must lie strictly within +-2**62 seconds")
+    for key in _STRING_KEYS:
+        if not isinstance(obj[key], str):
+            raise DataError(f"line {line_no}: field '{key}' must be a string")
     if not isinstance(obj["files"], list):
         raise DataError(f"line {line_no}: field 'files' must be an array")
     label = obj.get("label")
@@ -108,10 +116,10 @@ def parse_commit_line(line: str, line_no: int) -> CommitRecord:
         raise DataError(f"line {line_no}: field 'label' must be 0 or 1")
     files = tuple(_parse_file_entry(f, line_no, i) for i, f in enumerate(obj["files"]))
     return CommitRecord(
-        commit_id=str(obj["commit_id"]),
+        commit_id=obj["commit_id"],
         timestamp=obj["timestamp"],
-        author=str(obj["author"]),
-        message=str(obj["message"]),
+        author=obj["author"],
+        message=obj["message"],
         files=files,
         label=label,
     )
@@ -121,7 +129,9 @@ def load_commit_stream(path) -> list[CommitRecord]:
     """Read a JSON-lines commit file, in file order.
 
     Raises DataError naming the offending line and field for schema
-    violations, and for duplicate commit ids.
+    violations, for duplicate commit ids, and for a commit id holding a
+    comma, carriage return or line feed, which would break the CSV
+    artifacts that list it.
     """
     records = []
     seen = set()
@@ -136,6 +146,9 @@ def load_commit_stream(path) -> list[CommitRecord]:
             rec = parse_commit_line(line, line_no)
             if rec.commit_id in seen:
                 raise DataError(f"line {line_no}: duplicate commit_id '{rec.commit_id}'")
+            if not _CSV_BREAKERS.isdisjoint(rec.commit_id):
+                raise DataError(f"line {line_no}: field 'commit_id' must not contain a comma, "
+                                f"carriage return or line feed: {rec.commit_id!r}")
             seen.add(rec.commit_id)
             records.append(rec)
     return records

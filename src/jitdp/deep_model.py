@@ -67,11 +67,14 @@ class DeepDataset:
         return len(self.commit_ids)
 
 
-def build_dataset(commits, vocab: Vocab, shape: TextShape, feature_entries=None) -> DeepDataset:
+def build_dataset(commits, vocab: Vocab, shape: TextShape, feature_entries=None,
+                  ids=None) -> DeepDataset:
     """Encode commits; feature_entries (commit_id -> FeatureSplitEntry) is
-    optional and only needed for early-fused models."""
+    optional and only needed for early-fused models. ids, if given, is the
+    (message_ids, file_ids) pair encode_commits already made of these
+    commits."""
     commits = list(commits)
-    message_ids, file_ids = encode_commits(commits, vocab, shape)
+    message_ids, file_ids = ids or encode_commits(commits, vocab, shape)
     n = len(commits)
     if feature_entries is None:
         cats = np.zeros((n, 1))
@@ -138,8 +141,9 @@ def model_params(stack: nn.Params, count: int, m: int) -> nn.Params:
     return model
 
 
-def _heads(params: nn.Params, count: int) -> list:
-    """Each model's view of its own fusion and classifier parameters."""
+def model_heads(params: nn.Params, count: int) -> list:
+    """Each model's view of its own fusion and classifier parameters in a
+    stack of `count` models."""
     if count == 1:
         return [params]
     heads = [{} for _ in range(count)]
@@ -156,13 +160,15 @@ def textcnn_layouts(params: nn.Params) -> dict:
 
 
 def forward_batch(params: nn.Params, cfg: DeepConfig, msg_ids, file_ids, x_cat, x_cont,
-                  strategy: str = "none", training: bool = False, rng=None, layouts=None):
+                  strategy: str = "none", training: bool = False, rng=None, layouts=None,
+                  heads=None):
     """Returns (probs (B, 2), z_m, z_c, cache). For a tuple of M strategies,
     params is the stack of one model per strategy (stack_params) and rng
     one dropout generator per model; each textCNN runs once for all of them,
     probs is a list of each model's (B, 2) and z_m, z_c are (B, M * filters)
-    in channel blocks. layouts is textcnn_layouts(params) of parameters that
-    no longer change, or None to derive each layout in its textCNN."""
+    in channel blocks. layouts and heads are textcnn_layouts(params) and
+    model_heads(params, M) of parameters that no longer change, or None to
+    derive them in this call."""
     strategies = (strategy,) if isinstance(strategy, str) else strategy
     rngs = (rng,) if isinstance(strategy, str) else rng or (None,) * len(strategies)
     layouts = layouts or {}
@@ -183,17 +189,18 @@ def forward_batch(params: nn.Params, cfg: DeepConfig, msg_ids, file_ids, x_cat, 
     file_vecs = file_vecs_kept[slot].reshape(b, f, -1)
     z_c, cache_a = nn.textcnn_forward(params, "agg_cnn", file_vecs, layout=layouts.get("agg_cnn"))
     split, width = z_m.shape[1] // len(strategies), z_c.shape[1] // len(strategies)
-    probs, heads = [], []
-    for m, (head, s, r) in enumerate(zip(_heads(params, len(strategies)), strategies, rngs)):
+    probs, head_caches = [], []
+    for m, (head, s, r) in enumerate(zip(heads or model_heads(params, len(strategies)),
+                                         strategies, rngs)):
         z = np.concatenate([z_m[:, m * split : (m + 1) * split],
                             z_c[:, m * width : (m + 1) * width]], axis=1)
         fused, cache_fuse = early_fuse_forward(head, s, z, x_cat, x_cont, cfg.gmf_beta)
         dropped, mask = nn.dropout(fused, cfg.dropout, training, r)
         p, cache_clf = nn.classifier_forward(head, "clf", dropped)
         probs.append(p)
-        heads.append((head, cache_fuse, mask, cache_clf))
+        head_caches.append((head, cache_fuse, mask, cache_clf))
     cache = {
-        "msg": cache_m, "file": cache_f, "agg": cache_a, "heads": heads, "split": split,
+        "msg": cache_m, "file": cache_f, "agg": cache_a, "heads": head_caches, "split": split,
         "file_rows": (keep, slot, pad), "stacked": not isinstance(strategy, str),
     }
     return (probs if cache["stacked"] else probs[0]), z_m, z_c, cache
@@ -230,17 +237,19 @@ def backward_batch(params: nn.Params, cache, d_logits) -> nn.Params:
 
 
 def score_dataset(params: nn.Params, cfg: DeepConfig, ds: DeepDataset,
-                  strategy: str = "none", batch: int = 256, layouts=None) -> np.ndarray:
+                  strategy: str = "none", batch: int = 256, layouts=None,
+                  heads=None) -> np.ndarray:
     """Defect probabilities in evaluation mode, (N,). For a tuple of M
     strategies, params is their stack, scored in one pass: (N, M), one
-    column per model. layouts is as in forward_batch."""
+    column per model. layouts and heads are as in forward_batch."""
     strategies = (strategy,) if isinstance(strategy, str) else strategy
     out = np.empty((len(strategies), len(ds)))
     for start in range(0, len(ds), batch):
         sl = slice(start, min(start + batch, len(ds)))
         probs, _, _, _ = forward_batch(
             params, cfg, ds.message_ids[sl], ds.file_ids[sl],
-            ds.x_cat[sl], ds.x_cont[sl], strategy=strategies, training=False, layouts=layouts)
+            ds.x_cat[sl], ds.x_cont[sl], strategy=strategies, training=False, layouts=layouts,
+            heads=heads)
         for row, p in zip(out, probs):
             row[sl] = p[:, 1]
     return out[0] if isinstance(strategy, str) else out.T

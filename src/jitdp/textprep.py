@@ -106,15 +106,19 @@ def build_vocab(documents, max_size: int = 20_000, min_frequency: int = 2) -> Vo
     return Vocab(token_to_id=token_to_id)
 
 
-def encode_commits(commits, vocab: Vocab, shape: TextShape) -> tuple:
+def encode_commits(commits, vocab: Vocab, shape: TextShape, out=None) -> tuple:
     """(message_ids (n, l_msg), file_ids (n, files, l_code)) int64 for a
     sequence of commits: each message padded/truncated to l_msg, each file
     document to l_code, and the file list to `files` rows (first rows by
     file order; padding rows are all-padding). Token lists are cut to length
-    before their ids are looked up."""
+    before their ids are looked up. out, if given, is a pair of int64
+    arrays of those shapes, all PAD_ID, that are filled and returned
+    instead of new ones."""
     table = vocab.table
-    msg = np.full((len(commits), shape.l_msg), PAD_ID, dtype=np.int64)
-    file_ids = np.full((len(commits), shape.files, shape.l_code), PAD_ID, dtype=np.int64)
+    if out is None:
+        out = (np.full((len(commits), shape.l_msg), PAD_ID, dtype=np.int64),
+               np.full((len(commits), shape.files, shape.l_code), PAD_ID, dtype=np.int64))
+    msg, file_ids = out
     for i, commit in enumerate(commits):
         ids = list(map(table.get, tokenize(commit.message)[: shape.l_msg], repeat(UNK_ID)))
         msg[i, : len(ids)] = ids

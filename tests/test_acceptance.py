@@ -266,13 +266,14 @@ def desk_scale_run(tmp_path_factory):
 
 
 def test_prepared_bundle_scores_as_unprepared_params(desk_scale_run):
-    """load_bundle derives the textCNN layouts once; the rows must be those
-    of deriving them from the parameters on every call, on the test split
-    scored as one batch and one commit at a time."""
+    """load_bundle derives the textCNN layouts and the models' heads once;
+    the rows must be those of deriving them from the parameters on every
+    call, on the test split scored as one batch and one commit at a time."""
     out = desk_scale_run["out"]
     bundle = load_bundle(out / "bundle.json")
     unprepared = dataclasses.replace(bundle)
     unprepared.deep_layouts = None
+    unprepared.deep_heads = None
     test_ids = {ln.split(",")[0] for ln in (out / "predictions.csv").read_text().splitlines()[1:]}
     test = [c for c in load_commit_stream(desk_scale_run["corpus"]) if c.commit_id in test_ids]
     assert len(test) == len(test_ids) == 400

@@ -348,6 +348,17 @@ class TestExitCodes:
         code = main(["evaluate", "--corpus", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("field", ["author", "message"])
+    def test_null_text_field_is_data_error(self, tmp_path, corpus_path, field, capsys):
+        lines = corpus_path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj[field] = None
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(obj), *lines[2:]]) + "\n")
+        code = main(["evaluate", "--corpus", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"line 2: field '{field}' must be a string" in capsys.readouterr().err
+
     def test_training_failure_is_exit_three(self, tmp_path, corpus_path, monkeypatch):
         import jitdp.pipeline as pipeline
         from jitdp.deep_model import TrainingError

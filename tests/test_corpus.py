@@ -95,6 +95,40 @@ class TestLoadStream:
         with pytest.raises(DataError, match="duplicate"):
             load_commit_stream(path)
 
+    @pytest.mark.parametrize("field", ["commit_id", "author", "message"])
+    @pytest.mark.parametrize("value", [None, 7, ["x"], {"a": "b"}])
+    def test_non_string_field_rejected(self, tmp_path, field, value):
+        """A null author would otherwise become the developer "None", one
+        history shared by every such commit."""
+        obj = json.loads(_minimal_line("c1"))
+        obj[field] = value
+        path = tmp_path / "c.jsonl"
+        path.write_text(_minimal_line("c0") + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(DataError, match=rf"line 2: field '{field}' must be a string"):
+            load_commit_stream(path)
+
+    @pytest.mark.parametrize("value", [None, 7, ["p/f"]])
+    def test_non_string_path_rejected(self, tmp_path, value):
+        obj = json.loads(_minimal_line("c0"))
+        obj["files"].append(dict(obj["files"][0], path=value))
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(DataError, match=r"line 1: files\[1\] field 'path' must be a string"):
+            load_commit_stream(path)
+
+    @pytest.mark.parametrize("cid", ["a,b", "a\rb", "a\nb", ",", "\n"])
+    def test_commit_id_that_breaks_a_csv_line_rejected(self, tmp_path, cid):
+        path = tmp_path / "c.jsonl"
+        path.write_text(_minimal_line("c0") + "\n" + _minimal_line(cid) + "\n")
+        assert parse_commit_line(_minimal_line(cid), 2).commit_id == cid
+        with pytest.raises(DataError, match=r"line 2: field 'commit_id' must not contain"):
+            load_commit_stream(path)
+
+    def test_commit_id_with_other_punctuation_accepted(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(_minimal_line("a b\t\"'; ü") + "\n")
+        assert load_commit_stream(path)[0].commit_id == "a b\t\"'; ü"
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_commit_stream(tmp_path / "absent.jsonl")

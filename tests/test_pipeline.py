@@ -91,6 +91,22 @@ class TestBundleRoundTrip:
             bundle.deep_params["msg_cnn.w1"] += 1.0
 
 
+    def test_prepared_heads_are_views_of_the_params(self, corpus_file, tmp_path):
+        """Each deep model's head holds the stack's own arrays, and a
+        replaced bundle derives its heads from its new parameters."""
+        out = tmp_path / "run"
+        run_pipeline(RunConfig(corpus=str(corpus_file), out=str(out), seed=6, **TINY), until="sweep")
+        bundle = load_bundle(out / "bundle.json")
+        for b in (bundle, dataclasses.replace(bundle, deep_params={
+                k: v.copy() for k, v in bundle.deep_params.items()})):
+            count = 1 if b.early == "none" else 2
+            assert len(b.deep_heads) == count
+            for m, head in enumerate(b.deep_heads):
+                assert head
+                for name, value in head.items():
+                    assert value is b.deep_params[name if count == 1 else f"{m}:{name}"]
+
+
 class TestSplitRows:
     def test_chronological_rows_are_the_chronological_split(self, corpus_file):
         corpus = load_commit_stream(corpus_file)

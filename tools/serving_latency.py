@@ -11,7 +11,8 @@ prints one JSON object with the median microseconds per call of each stage
 and of the whole call:
 
 - featurize: ordering and featurizing the commit (`featurize_corpus`);
-- dataset: normalizing its features and encoding its text (`_dataset`);
+- dataset: encoding its text and normalizing its features
+  (`encode_commits`, `_dataset`);
 - deep: the deep models' pass (`score_dataset`);
 - forest: the simple model (`forest_predict_many`);
 - fuse: the rest of the call, which is the bundle's fusion rule and the
@@ -34,7 +35,7 @@ from contextlib import contextmanager
 # The names predict_commits calls in jitdp.pipeline, by stage.
 STAGES = {
     "featurize": ("sort_chronologically", "featurize_corpus"),
-    "dataset": ("normalize_features", "_dataset"),
+    "dataset": ("encode_commits", "normalize_features", "_dataset"),
     "deep": ("score_dataset",),
     "forest": ("forest_predict_many",),
 }
