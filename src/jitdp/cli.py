@@ -28,6 +28,7 @@ from .pipeline import (
     read_feature_table,
     run_pipeline,
     write_predictions,
+    writing,
 )
 
 USAGE_ERROR = 1
@@ -133,7 +134,8 @@ def _predict(args) -> int:
     corpus = load_commit_stream(args.corpus)
     rows = predict_commits(bundle, corpus)
     if args.out:
-        write_predictions(args.out, rows)
+        with writing():
+            write_predictions(args.out, rows)
         print(f"{len(rows)} predictions written to {args.out}")
     else:
         print(PREDICTIONS_HEADER)
@@ -152,9 +154,10 @@ def _explain(args) -> int:
     explanation = explain_commit(bundle, corpus, args.commit, rows,
                                  n_samples=args.samples, seed=args.seed)
     if args.out:
-        Path(args.out + ".txt").write_text(explanation.as_text() + "\n", encoding="utf-8")
-        with open(args.out + ".json", "w", encoding="utf-8") as handle:
-            json.dump(asdict(explanation), handle, sort_keys=True, indent=1)
+        with writing():
+            Path(args.out + ".txt").write_text(explanation.as_text() + "\n", encoding="utf-8")
+            with open(args.out + ".json", "w", encoding="utf-8") as handle:
+                json.dump(asdict(explanation), handle, sort_keys=True, indent=1)
         print(f"explanation written to {args.out}.txt and {args.out}.json")
     else:
         print(explanation.as_text())
@@ -166,7 +169,8 @@ def _synthesize(args) -> int:
                          feature_strength=args.feature_strength,
                          text_strength=args.text_strength, seed=args.seed)
     corpus = synthesize_corpus(spec)
-    save_commit_stream(args.out, corpus)
+    with writing():
+        save_commit_stream(args.out, corpus)
     print(f"{len(corpus)} commits written to {args.out}")
     return 0
 

@@ -52,8 +52,12 @@ def embedding_backward(d_out: np.ndarray, ids: np.ndarray, vocab_size: int) -> n
 
 
 def _scatter_rows(values: np.ndarray, at: np.ndarray, n_rows: int) -> np.ndarray:
-    """(n_rows, d) sums of the d-vectors of values by their row index in at.
-    Bin at * d + c accumulates in entry order, as np.add.at on rows would."""
+    """(n_rows, d) sums of the d-vectors of values by their row index in at,
+    by one np.bincount over a key array as large as values: bin at * d + c
+    accumulates from 0.0 in entry order, as np.add.at on rows would. It
+    sums embedding gradients per token id, the textCNN's window-position
+    sums per token id, and, for vector input, its window entries per
+    position."""
     dim = values.shape[-1]
     flat = (at.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
     return np.bincount(flat, weights=values.reshape(-1), minlength=n_rows * dim).reshape(n_rows, dim)
@@ -76,9 +80,13 @@ def _scatter_rows(values: np.ndarray, at: np.ndarray, n_rows: int) -> np.ndarray
 # giving each tap j's response at each position; the pre-activation of the
 # window starting at p is the sum over j of tap j's response at p + j.
 # Max-pooling keeps one window per filter, so the backward pass touches only
-# those: dW gathers the k input rows of each argmax window, and the input
-# gradient scatters d_pre * w[:, j] to positions arg + j with one
-# np.bincount. Every sum runs over one model's block in the order a lone
+# those: dW gathers the k input rows of each argmax window (one einsum per
+# bank), and the input gradient of window entry (f, j) is d_pre * w[f, j] at
+# position arg + j. For vector input every entry goes into one value block,
+# summed per position by one np.bincount. For token ids each filter of each
+# bank in turn adds its entries straight into the touched positions, which
+# is the same additions in the same order with no (entries x d_in) value or
+# key array. Every sum runs over one model's block in the order a lone
 # model's would, so each model gets a lone model's bits.
 #
 # Token-id input (B, L) keeps the ids, not embedded vectors, in the cache,
@@ -221,8 +229,12 @@ def textcnn_forward(params: Params, prefix: str, x: np.ndarray,
 
 def textcnn_backward(params: Params, cache, d_z: np.ndarray):
     """Returns (d_input, grads). For vector input d_input is the gradient
-    w.r.t. the input vectors, trimmed to the original length; for token-id
-    input it is the gradient w.r.t. the embedding table, the same bits as
+    w.r.t. the input vectors, trimmed to the original length, summed per
+    position by one np.bincount over the argmax-window entries (bank, m, b,
+    f, j) in order. For token-id input it is the gradient w.r.t. the
+    embedding table: each touched window position gets the same sum,
+    added filter by filter without an entry-sized array, and those sums go
+    to their token ids in position order, the same bits as
     embedding_backward of the dense gradient w.r.t. the embedded tokens."""
     x, ids, table = cache["x"], cache["ids"], cache["embedding"]
     prefix, banks, models = cache["prefix"], cache["banks"], cache["models"]
@@ -235,9 +247,13 @@ def textcnn_backward(params: Params, cache, d_z: np.ndarray):
     rows = np.arange(batch)[:, None, None]
     model = np.arange(models)[:, None, None, None]
     # Window entries (bank, m, b, f, j) of every argmax window: their key
-    # (position * M + m) and their input gradient d_pre * w[f, j] in block m.
+    # (position * M + m) and their input gradient d_pre * w[f, j] in block m,
+    # in one value block for vector input; id input keeps each bank's keys,
+    # d_pre and w_m for the filter-by-filter sum.
     entries = sum(k * arg.size for k, arg, _ in banks)
-    keys, values = np.empty(entries, dtype=np.int64), np.empty((entries, d_in))
+    keys = np.empty(entries, dtype=np.int64)
+    values = None if x is None else np.empty((entries, d_in))
+    terms = []
     col = start = 0
     for k, arg, pre_at_max in banks:
         w = params[f"{prefix}.w{k}"]
@@ -255,20 +271,39 @@ def textcnn_backward(params: Params, cache, d_z: np.ndarray):
                                    .transpose(1, 2, 0, 3).reshape(w.shape))
         grads[f"{prefix}.b{k}"] = d_pre.sum(axis=1).reshape(-1)
         stop = start + at.size
-        np.add((rows * length + at) * models, model, out=keys[start:stop].reshape(at.shape))
+        bank_keys = keys[start:stop].reshape(at.shape)
+        np.add((rows * length + at) * models, model, out=bank_keys)
         w_m = w.reshape(n_k, k, models, d_in).transpose(2, 0, 1, 3)[:, None]
-        np.multiply(d_pre[..., None, None], w_m, out=values[start:stop].reshape(*at.shape, d_in))
+        if x is None:
+            terms.append((bank_keys, d_pre, w_m))
+        else:
+            np.multiply(d_pre[..., None, None], w_m, out=values[start:stop].reshape(*at.shape, d_in))
         start = stop
     if x is None:
         # Sum per window position in entry order, then per token id in
         # position order: embedding_backward's additions, zeros left out.
-        # The touched positions ascending and each entry's slot among them,
-        # as np.unique(keys, return_inverse=True) gives them, without a sort.
+        # The touched positions ascending and each position's slot among
+        # them, as np.unique(keys, return_inverse=True) gives them, without
+        # a sort.
         hit = np.zeros(batch * length * models, dtype=bool)
         hit[keys] = True
         touched = np.flatnonzero(hit)
-        at = (np.cumsum(hit) - 1).take(keys)
-        d_windows = _scatter_rows(values, at, len(touched))
+        slot = np.cumsum(hit) - 1
+        # One filter of one bank per step, banks then filters in order: a
+        # filter's k entries in a row lie at distinct positions, so a step
+        # adds to distinct slots, and each slot gets its entries from 0.0 in
+        # the order np.bincount over the entries would add them. Rows go
+        # back through a one-element-per-row view, which numpy assigns about
+        # twice as fast as rows of d_in floats at desk widths.
+        d_windows = np.zeros((len(touched), d_in))
+        whole_rows = d_windows.view(np.dtype((np.void, d_windows.itemsize * d_in)))[:, 0]
+        for bank_keys, d_pre, w_m in terms:
+            slots = slot.take(bank_keys)
+            for f in range(d_pre.shape[2]):
+                at = slots[:, :, f]
+                step = d_windows.take(at, axis=0)
+                step += d_pre[:, :, f, None, None] * w_m[:, :, f]
+                whole_rows[at] = step.view(whole_rows.dtype)[..., 0]
         position, model = np.divmod(touched, models)
         d_table = _scatter_rows(d_windows, ids.reshape(-1)[position] * models + model,
                                 len(table) * models)

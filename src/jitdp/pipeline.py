@@ -14,6 +14,7 @@ import pickle
 import signal
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -269,16 +270,29 @@ def _worker_main(work, write_fd) -> None:
         os._exit(status)
 
 
+@contextmanager
+def writing():
+    """An output path that cannot be made or written is a ValueError
+    naming it, which the CLI reports as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+
+
 def run_pipeline(config: RunConfig, until: str = "evaluate") -> Path:
     """Run the experiment described by the config; returns the artifact
     directory. `until` stops after 'features', 'train', or 'sweep' for the
-    staged CLI commands. Drop-rate re-runs land in drop_<rate>/ subdirs."""
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    staged CLI commands. Drop-rate re-runs land in drop_<rate>/ subdirs.
+    The directory is made once the corpus has loaded; one that cannot be
+    made is a ValueError naming it."""
     try:
         corpus = load_commit_stream(config.corpus)
     except DataError as exc:
         raise PipelineError("load", exc) from exc
+    out = Path(config.out)
+    with writing():
+        out.mkdir(parents=True, exist_ok=True)
     _run_corpus(corpus, config, out, until)
     for rate in config.drop_rates:
         sub = out / f"drop_{rate:g}"

@@ -373,6 +373,56 @@ class TestExitCodes:
         assert main(["evaluate", "--config", str(cfg)]) == 3
 
 
+class TestOutputPaths:
+    """A bad corpus leaves no output directory behind, and an output path
+    that cannot be written is a one-line usage error naming it."""
+
+    @pytest.mark.parametrize("content", [None, "{bad\n"])
+    def test_bad_corpus_leaves_no_out_directory(self, tmp_path, content, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        if content is not None:
+            corpus.write_text(content)
+        out = tmp_path / "o"
+        assert main(["evaluate", "--corpus", str(corpus), "--out", str(out)]) == 2
+        assert "stage 'load' failed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def _assert_usage_error(code, capsys, path):
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"usage error: cannot write {path}: ")
+
+    def test_predict_into_missing_directory(self, run_dir, tmp_path, corpus_path, capsys):
+        out = tmp_path / "nodir" / "p.csv"
+        code = main(["predict", "--bundle", str(run_dir / "bundle.json"),
+                     "--corpus", str(corpus_path), "--out", str(out)])
+        self._assert_usage_error(code, capsys, out)
+
+    def test_explain_into_missing_directory(self, run_dir, tmp_path, corpus_path, capsys):
+        prefix = tmp_path / "nodir" / "e"
+        code = main(["explain", "--bundle", str(run_dir / "bundle.json"),
+                     "--corpus", str(corpus_path), "--commit",
+                     load_commit_stream(corpus_path)[5].commit_id,
+                     "--samples", "20", "--out", str(prefix)])
+        self._assert_usage_error(code, capsys, f"{prefix}.txt")
+
+    def test_synthesize_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "s.jsonl"
+        code = main(["synthesize", "--out", str(out), "--size", "120"])
+        self._assert_usage_error(code, capsys, out)
+
+    def test_evaluate_out_is_a_file(self, tmp_path, corpus_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"corpus": str(corpus_path), "out": str(out), **SMALL}))
+        code = main(["evaluate", "--config", str(cfg)])
+        self._assert_usage_error(code, capsys, out)
+        assert out.read_text() == "kept\n"
+
+
 class TestDropExperiment:
     def test_five_rates_give_five_evaluation_subdirectories(self, tmp_path, corpus_path):
         out = tmp_path / "drops"

@@ -650,3 +650,139 @@ class TestTextCnnChannelBlocks:
         assert z.shape == (12, 5 * models)
         assert len(embedded) > 1
         assert all(rows * length <= 100 for rows, length in embedded)
+
+
+def _bincount_rows(values, at, n_rows):
+    """(n_rows, d) sums of the rows of values by their index in at, each
+    bin's terms added from 0.0 in entry order by one np.bincount."""
+    dim = values.shape[-1]
+    flat = (at.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
+    return np.bincount(flat, weights=values.reshape(-1), minlength=n_rows * dim).reshape(n_rows, dim)
+
+
+def entry_order_textcnn_backward(params, cache, d_z):
+    """Oracle for nn.textcnn_backward: one value block holding d_pre * w[f, j]
+    of every argmax-window entry, (bank, m, b, f, j) in order, summed per
+    window position by one np.bincount; for token ids the touched positions'
+    sums are then summed per token id in position order."""
+    x, ids, table = cache["x"], cache["ids"], cache["embedding"]
+    prefix, banks, models = cache["prefix"], cache["banks"], cache["models"]
+    batch, length = ids.shape if x is None else x.shape[:2]
+    d_z = d_z.reshape(batch, models, -1).transpose(1, 0, 2)
+    source = (table.reshape(len(table), models, -1) if x is None
+              else x.reshape(batch, length, models, -1))
+    d_in = source.shape[-1]
+    rows = np.arange(batch)[:, None, None]
+    model = np.arange(models)[:, None, None, None]
+    grads, keys, values = {}, [], []
+    col = 0
+    for k, arg, pre_at_max in banks:
+        w = params[f"{prefix}.w{k}"]
+        n_k = w.shape[0]
+        # d_pre and at C-ordered as in textcnn_backward: einsum's order of
+        # summation for dW follows the memory layout of its operands
+        d_pre = np.multiply(d_z[:, :, col : col + n_k], (pre_at_max > 0).transpose(1, 0, 2),
+                            out=np.empty((models, batch, n_k)))
+        col += n_k
+        at = np.empty((models, batch, n_k, k), dtype=arg.dtype)
+        np.add(arg.T.reshape(models, n_k, batch).transpose(0, 2, 1)[..., None], np.arange(k), out=at)
+        windows = source[ids[rows, at], model] if x is None else source[rows, at, model]
+        grads[f"{prefix}.w{k}"] = (np.einsum("mbf,mbfjc->mfjc", d_pre, windows)
+                                   .transpose(1, 2, 0, 3).reshape(w.shape))
+        grads[f"{prefix}.b{k}"] = d_pre.sum(axis=1).reshape(-1)
+        keys.append(((rows * length + at) * models + model).reshape(-1))
+        w_m = w.reshape(n_k, k, models, d_in).transpose(2, 0, 1, 3)[:, None]
+        values.append((d_pre[..., None, None] * w_m).reshape(-1, d_in))
+    keys, values = np.concatenate(keys), np.concatenate(values)
+    if x is None:
+        touched, slot = np.unique(keys, return_inverse=True)
+        d_windows = _bincount_rows(values, slot, len(touched))
+        position, model = np.divmod(touched, models)
+        d_table = _bincount_rows(d_windows, ids.reshape(-1)[position] * models + model,
+                                 len(table) * models)
+        return d_table.reshape(table.shape), grads
+    d_x = _bincount_rows(values, keys, batch * length * models).reshape(x.shape)[:, : cache["orig_len"]]
+    if ids is not None:
+        return _bincount_rows(d_x.reshape(-1, d_x.shape[-1]), ids, len(table)), grads
+    return d_x, grads
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _check_against_entry_order(params, x, table, d_z, block=nn._TEXTCNN_BLOCK):
+    with mock.patch.object(nn, "_TEXTCNN_BLOCK", block):
+        _, cache = nn.textcnn_forward(params, "t", x, embedding=table)
+    d_input, grads = nn.textcnn_backward(params, cache, d_z)
+    d_ref, grads_ref = entry_order_textcnn_backward(params, cache, d_z)
+    _assert_same_bits(d_input, d_ref)
+    assert sorted(grads) == sorted(grads_ref) == sorted(n for n in params if n.startswith("t."))
+    for name in grads:
+        _assert_same_bits(grads[name], grads_ref[name])
+
+
+@st.composite
+def entry_order_cases(draw):
+    """M stacked models' textCNN params, token ids with padding tails and
+    all-padding rows at lengths below, at and past the widest window, the
+    ids or their embedded vectors as input, and d_z with exact zeros and
+    negatives. A pileup case makes every filter's maximum the first
+    all-padding window, so every filter adds to the same positions."""
+    models = draw(st.sampled_from([1, 2, 5]))
+    windows = draw(st.sampled_from([(1, 2, 3), (2, 5)]))
+    d_in = draw(st.sampled_from([1, 3, 8]))
+    filters = draw(st.sampled_from([2, 5, 8]))
+    length = draw(st.sampled_from([1, windows[-1] - 1, windows[-1], windows[-1] + 1, 9, 16]))
+    pileup = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    stack = [nn.textcnn_init(rng, "t", d_in, windows, filters) for _ in range(models)]
+    params = {n: np.concatenate([p[n] for p in stack], axis=-1) for n in stack[0]}
+    table = rng.normal(size=(10, models * d_in))
+    if pileup:
+        params = {n: np.abs(v) + (0.1 if ".b" in n else 0.0) for n, v in params.items()}
+        table = -np.abs(table)
+        table[0] = 1.0
+    else:
+        for n in params:
+            if ".b" in n:
+                params[n] = rng.normal(scale=0.3, size=params[n].shape)
+    ids = np.zeros((draw(st.integers(1, 6)), length), dtype=np.int64)
+    for r in range(len(ids)):
+        real = draw(st.sampled_from([0, length // 2, length]))
+        ids[r, :real] = rng.integers(1, 10, size=real)
+    d_z = rng.normal(size=(len(ids), models * filters))
+    d_z[rng.random(d_z.shape) < 0.3] = 0.0
+    vectors = draw(st.booleans())
+    x = table[ids] if vectors else ids
+    return params, x, None if vectors else table, d_z, draw(st.sampled_from([1, 150, 1 << 20]))
+
+
+class TestTextCnnEntryOrder:
+    """textcnn_backward adds each window position's terms in the order one
+    np.bincount over every argmax-window entry adds them, so its gradients
+    keep that formulation's bits, signed zeros included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=entry_order_cases())
+    def test_matches_entry_order_oracle(self, case):
+        _check_against_entry_order(*case)
+
+    @pytest.mark.parametrize("path", ["ids", "vectors"])
+    def test_full_scale_width(self, path):
+        rng = np.random.default_rng(41)
+        params = nn.textcnn_init(rng, "t", 64, (1, 2, 3), 64)
+        for k in (1, 2, 3):
+            params[f"t.b{k}"] = rng.normal(scale=0.1, size=params[f"t.b{k}"].shape)
+        table = rng.normal(size=(500, 64))
+        ids = rng.integers(1, 500, size=(12, 256))
+        for r, real in enumerate([0, 1, 3, 40, 100, 128, 190, 200, 255, 256, 256, 17]):
+            ids[r, real:] = 0
+        d_z = rng.normal(size=(12, 64))
+        d_z[:, ::5] = 0.0
+        if path == "ids":
+            _check_against_entry_order(params, ids, table, d_z)
+        else:
+            _check_against_entry_order(params, table[ids], None, d_z)
