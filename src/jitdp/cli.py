@@ -8,7 +8,9 @@ drop-experiment, predict, explain. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -129,7 +131,23 @@ def _run(args) -> int:
     return 0
 
 
+def _check_out(path) -> None:
+    """Fail as writing() reports it, before any work, when the file `path`
+    could not be written: its directory is missing, is not a directory or
+    is read-only, or the path is a directory. The file is not opened, so a
+    later failure leaves nothing behind."""
+    parent = Path(path).parent
+    code = (errno.ENOENT if not parent.exists() else errno.ENOTDIR if not parent.is_dir()
+            else errno.EISDIR if Path(path).is_dir()
+            else errno.EACCES if not os.access(parent, os.W_OK | os.X_OK) else None)
+    if code is not None:
+        with writing():
+            raise OSError(code, os.strerror(code), str(path))
+
+
 def _predict(args) -> int:
+    if args.out:
+        _check_out(args.out)
     bundle = load_bundle(args.bundle)
     corpus = load_commit_stream(args.corpus)
     rows = predict_commits(bundle, corpus)
@@ -145,6 +163,8 @@ def _predict(args) -> int:
 
 
 def _explain(args) -> int:
+    if args.out:
+        _check_out(args.out + ".txt")
     bundle = load_bundle(args.bundle)
     corpus = load_commit_stream(args.corpus)
     base = Path(args.bundle).parent
@@ -165,6 +185,7 @@ def _explain(args) -> int:
 
 
 def _synthesize(args) -> int:
+    _check_out(args.out)
     spec = SyntheticSpec(size=args.size, imbalance=args.imbalance,
                          feature_strength=args.feature_strength,
                          text_strength=args.text_strength, seed=args.seed)

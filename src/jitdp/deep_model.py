@@ -159,18 +159,37 @@ def textcnn_layouts(params: nn.Params) -> dict:
     return {prefix: nn.textcnn_layout(params, prefix) for prefix in ("msg_cnn", "file_cnn", "agg_cnn")}
 
 
+def _heads_forward(heads, strategies, z_m, z_c, x_cat, x_cont, cfg: DeepConfig,
+                   training: bool = False, rngs=None):
+    """Each model's early fusion, dropout and classifier on its channel
+    block of z_m and z_c: (probs, caches), one of each per model."""
+    split, width = z_m.shape[1] // len(strategies), z_c.shape[1] // len(strategies)
+    probs, caches = [], []
+    for m, (head, s, r) in enumerate(zip(heads, strategies, rngs or (None,) * len(strategies))):
+        z = np.concatenate([z_m[:, m * split : (m + 1) * split],
+                            z_c[:, m * width : (m + 1) * width]], axis=1)
+        fused, cache_fuse = early_fuse_forward(head, s, z, x_cat, x_cont, cfg.gmf_beta)
+        dropped, mask = nn.dropout(fused, cfg.dropout, training, r)
+        p, cache_clf = nn.classifier_forward(head, "clf", dropped)
+        probs.append(p)
+        caches.append((head, cache_fuse, mask, cache_clf))
+    return probs, caches
+
+
 def forward_batch(params: nn.Params, cfg: DeepConfig, msg_ids, file_ids, x_cat, x_cont,
                   strategy: str = "none", training: bool = False, rng=None, layouts=None,
                   heads=None):
-    """Returns (probs (B, 2), z_m, z_c, cache). For a tuple of M strategies,
-    params is the stack of one model per strategy (stack_params) and rng
-    one dropout generator per model; each textCNN runs once for all of them,
-    probs is a list of each model's (B, 2) and z_m, z_c are (B, M * filters)
-    in channel blocks. layouts and heads are textcnn_layouts(params) and
-    model_heads(params, M) of parameters that no longer change, or None to
-    derive them in this call."""
+    """The training forward pass: returns (probs (B, 2), z_m, z_c, cache),
+    the cache holding what backward_batch reads, in either mode. For a
+    tuple of M strategies, params is the stack of one model per strategy
+    (stack_params) and rng one dropout generator per model; each textCNN
+    runs once for all of them, probs is a list of each model's (B, 2) and
+    z_m, z_c are (B, M * filters) in channel blocks. layouts and heads are
+    textcnn_layouts(params) and model_heads(params, M) of parameters that
+    no longer change, or None to derive them in this call. score_dataset
+    gives the same probabilities without the cache."""
     strategies = (strategy,) if isinstance(strategy, str) else strategy
-    rngs = (rng,) if isinstance(strategy, str) else rng or (None,) * len(strategies)
+    rngs = (rng,) if isinstance(strategy, str) else rng
     layouts = layouts or {}
     b, f, l_code = file_ids.shape
     z_m, cache_m = nn.textcnn_forward(params, "msg_cnn", msg_ids, embedding=params["msg_emb"],
@@ -179,28 +198,17 @@ def forward_batch(params: nn.Params, cfg: DeepConfig, msg_ids, file_ids, x_cat, 
     # and broadcast to the rest, whose gradients backward_batch folds back.
     flat_files = file_ids.reshape(b * f, l_code)
     pad = (flat_files == PAD_ID).all(axis=1)
-    keep = ~pad
-    keep[pad.argmax()] = True  # a no-op when no row is padding
-    slot = np.cumsum(keep) - 1
-    slot[pad] = slot[pad.argmax()]
+    keep, slot = nn.padding_slots(pad)
     file_vecs_kept, cache_f = nn.textcnn_forward(params, "file_cnn", flat_files[keep],
                                                  embedding=params["code_emb"],
                                                  layout=layouts.get("file_cnn"))
     file_vecs = file_vecs_kept[slot].reshape(b, f, -1)
     z_c, cache_a = nn.textcnn_forward(params, "agg_cnn", file_vecs, layout=layouts.get("agg_cnn"))
-    split, width = z_m.shape[1] // len(strategies), z_c.shape[1] // len(strategies)
-    probs, head_caches = [], []
-    for m, (head, s, r) in enumerate(zip(heads or model_heads(params, len(strategies)),
-                                         strategies, rngs)):
-        z = np.concatenate([z_m[:, m * split : (m + 1) * split],
-                            z_c[:, m * width : (m + 1) * width]], axis=1)
-        fused, cache_fuse = early_fuse_forward(head, s, z, x_cat, x_cont, cfg.gmf_beta)
-        dropped, mask = nn.dropout(fused, cfg.dropout, training, r)
-        p, cache_clf = nn.classifier_forward(head, "clf", dropped)
-        probs.append(p)
-        head_caches.append((head, cache_fuse, mask, cache_clf))
+    probs, head_caches = _heads_forward(heads or model_heads(params, len(strategies)), strategies,
+                                        z_m, z_c, x_cat, x_cont, cfg, training, rngs)
     cache = {
-        "msg": cache_m, "file": cache_f, "agg": cache_a, "heads": head_caches, "split": split,
+        "msg": cache_m, "file": cache_f, "agg": cache_a, "heads": head_caches,
+        "split": z_m.shape[1] // len(strategies),
         "file_rows": (keep, slot, pad), "stacked": not isinstance(strategy, str),
     }
     return (probs if cache["stacked"] else probs[0]), z_m, z_c, cache
@@ -239,17 +247,31 @@ def backward_batch(params: nn.Params, cache, d_logits) -> nn.Params:
 def score_dataset(params: nn.Params, cfg: DeepConfig, ds: DeepDataset,
                   strategy: str = "none", batch: int = 256, layouts=None,
                   heads=None) -> np.ndarray:
-    """Defect probabilities in evaluation mode, (N,). For a tuple of M
-    strategies, params is their stack, scored in one pass: (N, M), one
-    column per model. layouts and heads are as in forward_batch."""
+    """Defect probabilities in evaluation mode, (N,), in passes of `batch`
+    commits. For a tuple of M strategies, params is their stack, scored in
+    one pass: (N, M), one column per model. layouts and heads are as in
+    forward_batch, derived once per call when not given. Each textCNN runs
+    without a cache (nn.textcnn_forward's cache=False), which also pools
+    all-padding rows as one; every score has forward_batch's bits."""
     strategies = (strategy,) if isinstance(strategy, str) else strategy
+    layouts = layouts or textcnn_layouts(params)
+    heads = heads or model_heads(params, len(strategies))
     out = np.empty((len(strategies), len(ds)))
     for start in range(0, len(ds), batch):
         sl = slice(start, min(start + batch, len(ds)))
-        probs, _, _, _ = forward_batch(
-            params, cfg, ds.message_ids[sl], ds.file_ids[sl],
-            ds.x_cat[sl], ds.x_cont[sl], strategy=strategies, training=False, layouts=layouts,
-            heads=heads)
+        files = ds.file_ids[sl]
+        b, f, l_code = files.shape
+        z_m, _ = nn.textcnn_forward(params, "msg_cnn", ds.message_ids[sl], embedding=params["msg_emb"],
+                                    layout=layouts["msg_cnn"], cache=False)
+        file_vecs, _ = nn.textcnn_forward(params, "file_cnn", files.reshape(b * f, l_code),
+                                          embedding=params["code_emb"], layout=layouts["file_cnn"],
+                                          cache=False)
+        # C order, as forward_batch's row gather leaves the file vectors: the
+        # aggregation's tap GEMM sums in an order that follows their layout
+        file_vecs = np.ascontiguousarray(file_vecs).reshape(b, f, -1)
+        z_c, _ = nn.textcnn_forward(params, "agg_cnn", file_vecs, layout=layouts["agg_cnn"],
+                                    cache=False)
+        probs, _ = _heads_forward(heads, strategies, z_m, z_c, ds.x_cat[sl], ds.x_cont[sl], cfg)
         for row, p in zip(out, probs):
             row[sl] = p[:, 1]
     return out[0] if isinstance(strategy, str) else out.T

@@ -44,7 +44,7 @@ def relu(x):
 def embedding_forward(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     if ids.min() < 0 or ids.max() >= table.shape[0]:
         raise ValueError(f"token id out of range [0, {table.shape[0]})")
-    return table[ids]
+    return table.take(ids, axis=0)  # the rows table[ids], gathered faster
 
 
 def embedding_backward(d_out: np.ndarray, ids: np.ndarray, vocab_size: int) -> np.ndarray:
@@ -94,20 +94,42 @@ def _scatter_rows(values: np.ndarray, at: np.ndarray, n_rows: int) -> np.ndarray
 # summed from the argmax windows alone. A row's real length r is its last
 # non-zero id + 1. Every window past r is all padding and has the same
 # pre-activation, so the first-occurrence argmax never picks one after the
-# first, at r. A batch of more than _TEXTCNN_BLOCK tap-matrix elements, the
-# taps of all M models counted, is sorted by r into buckets of at most that
-# many, and each bucket embeds only the prefix min(L, longest r in the
-# bucket + widest window, rounded up to 8 tokens), which still holds that
-# first all-padding window. A batch that fits one bucket is embedded whole,
-# in its order: at one-commit sizes finding r costs more numpy calls than
-# the trimmed positions save. Id input shorter than the widest window is
+# first, at r, and no row's maximum needs a window past it. A row's kept
+# prefix is min(L, r + widest window, rounded up to 8 tokens), which holds
+# that first all-padding window in whole 8-column tiles of the tap GEMM:
+# OpenBLAS sums an edge tile in another order, which would move last bits
+# against a full-length pass. Id input shorter than the widest window is
 # pooled as vectors, zero extension included.
+#
+# Training (the cached path) embeds a batch that fits one bucket of
+# _TEXTCNN_BLOCK tap-matrix elements, the taps of all M models counted,
+# whole and in its order. A larger batch is sorted by r into buckets of at
+# most that many, each embedded only through its longest kept prefix.
+#
+# Scoring (cache=False) needs only each filter's maximum per row: no
+# argmax, no gather, nothing kept. A small batch is pooled whole. A larger
+# one lays each row's kept prefix end to end, so that every row starts on
+# an 8-column tile when L is a multiple of 8, in chunks of whole rows of
+# about _TEXTCNN_BLOCK tap elements: one tap GEMM per chunk, taps added as
+# on whole rows, then one np.maximum.reduceat per bank over each row's
+# (start, end) of windows. All-padding rows pool alike, so only the first
+# of them is laid out and the rest take its maxima, as forward_batch does
+# with its file rows. Chunks are as even as the rows allow, since for
+# a GEMM of a few columns OpenBLAS takes another kernel at full-scale
+# widths. The maxima are the training path's pre_at_max, and come in the
+# memory layout it leaves them in, which the heads' reductions sum in.
 # ---------------------------------------------------------------------------
 
 # Tap-matrix elements (filter taps x token positions, all models) of one
 # bucket of token-id rows: 4 MiB of taps, about what a one-model desk
 # scoring batch of 256 commits holds. A desk training step of five models,
-# a full-scale message batch and a one-commit call are each one bucket.
+# a full-scale message batch and a one-commit call are each one bucket. It
+# is also the size of a scoring chunk, and scoring packs a batch only above
+# _TEXTCNN_BLOCK >> 4 tap elements. There packing breaks even (2 cores,
+# OpenBLAS 0.3.31): packed, a one-commit desk batch (at most 6k elements)
+# takes 1.3-1.7x as long, a 64-row desk batch (46k) 0.8x, 4 and 8
+# full-scale message rows (33k, 65k) 1.05x and 0.93x, and a commit's 8
+# full-scale file rows (260k) 0.57x.
 _TEXTCNN_BLOCK = 1 << 19
 
 
@@ -122,47 +144,77 @@ def textcnn_init(rng, prefix: str, d_in: int, windows, filters_total: int) -> Pa
     return params
 
 
+def _extend(x, widest):
+    """Vectors x (B, L, M * d_in) zero-extended to at least `widest` positions."""
+    if x.shape[1] >= widest:
+        return x
+    return np.concatenate([x, np.zeros((x.shape[0], widest - x.shape[1], x.shape[2]))], axis=1)
+
+
+def _window_pre(taps_w, banks, x, shape):
+    """Per bank, (k, pre) with pre (M, n_k, *shape[:-1], shape[-1] - k + 1)
+    the window pre-activations of vectors x (prod(shape), M * d_in) laid out
+    as shape: one tap GEMM, then each window's taps added in j order to
+    tap 0 plus the bias. taps_w is (M, taps, d_in)."""
+    models = len(taps_w)
+    # taps[m, row of (bank, j, f), column] = w_k[f, j] . x[column] in block m
+    taps = taps_w @ x.reshape(len(x), models, -1).transpose(1, 2, 0)
+    row = 0
+    for k, w, bias in banks:
+        n_k = w.shape[0]
+        tap = taps[:, row : row + k * n_k].reshape(models, k, n_k, *shape)
+        row += k * n_k
+        positions = shape[-1] - k + 1
+        pre = tap[:, 0, ..., :positions] + bias.reshape(models, n_k, *(1,) * len(shape))
+        for j in range(1, k):
+            pre += tap[:, j, ..., j : j + positions]
+        yield k, pre
+
+
 def _pool(taps_w, banks, x):
     """Per bank, (k, arg, pre_at_max) with arg (B, M * n_k) and pre_at_max
     (B, M, n_k), of vectors x (B, L, M * d_in) zero-extended to the widest
     window; also returns the extended x. taps_w is (M, taps, d_in)."""
-    widest = banks[-1][0]
-    if x.shape[1] < widest:
-        x = np.concatenate([x, np.zeros((x.shape[0], widest - x.shape[1], x.shape[2]))], axis=1)
+    x = _extend(x, banks[-1][0])
     batch, length = x.shape[:2]
-    models = len(taps_w)
-    # taps[m, row of (bank, j, f), b * length + t] = w_k[f, j] . x[b, t] in block m
-    taps = taps_w @ x.reshape(batch * length, models, -1).transpose(1, 2, 0)
     pooled = []
-    row = 0
-    for k, w, bias in banks:
-        n_k = w.shape[0]
-        tap = taps[:, row : row + k * n_k].reshape(models, k, n_k, batch, length)
-        row += k * n_k
-        positions = length - k + 1
-        pre = tap[:, 0, :, :, :positions] + bias.reshape(models, n_k, 1, 1)  # (M, n_k, B, P)
-        for j in range(1, k):
-            pre += tap[:, j, :, :, j : j + positions]
-        arg = pre.argmax(axis=3).reshape(-1)
-        at_max = pre.reshape(-1, positions)[np.arange(len(arg)), arg]  # one flat gather
+    for k, pre in _window_pre(taps_w, banks, x.reshape(batch * length, -1), (batch, length)):
+        arg = pre.argmax(axis=3).reshape(-1)  # pre is (M, n_k, B, P)
+        at_max = pre.reshape(-1, pre.shape[3])[np.arange(len(arg)), arg]  # one flat gather
         pooled.append((k, arg.reshape(-1, batch).T,
-                       at_max.reshape(models, n_k, batch).transpose(2, 0, 1)))
+                       at_max.reshape(len(taps_w), -1, batch).transpose(2, 0, 1)))
     return pooled, x
+
+
+def _kept_prefixes(ids, widest):
+    """Each id row's real length r and kept prefix, min(L, r + widest
+    rounded up to 8 tokens): see the textCNN notes."""
+    length = ids.shape[1]
+    real = np.where(ids != 0, np.arange(1, length + 1), 0).max(axis=1)
+    return real, np.minimum((real + widest + 7) & -8, length)
+
+
+def padding_slots(pad: np.ndarray):
+    """(keep, slot) for a mask of all-padding rows, which pool alike: keep
+    marks every other row and the first padding row, and slot maps each
+    row to its place among the kept rows, every padding row to the first's."""
+    keep = ~pad
+    keep[pad.argmax()] = True  # a no-op when no row is padding
+    slot = np.cumsum(keep) - 1
+    slot[pad] = slot[pad.argmax()]
+    return keep, slot
 
 
 def _pool_ids(taps_w, banks, ids, table):
     """_pool of table[ids]; a batch too large for one bucket is pooled
-    bucket by bucket, each over its prefix."""
+    bucket by bucket, each over its longest kept prefix."""
     batch, length = ids.shape
     cap = _TEXTCNN_BLOCK // (taps_w.shape[0] * taps_w.shape[1])  # token positions of one bucket
     if batch * length <= cap:
         return _pool(taps_w, banks, embedding_forward(table, ids))[0]
-    real = np.where(ids != 0, np.arange(1, length + 1), 0).max(axis=1)
+    real, kept = _kept_prefixes(ids, banks[-1][0])
     order = np.argsort(real, kind="stable")
-    # Through the first all-padding window, rounded up to whole 8-column
-    # tiles of the tap GEMM: OpenBLAS sums an edge tile in another order,
-    # which would move last bits against a full-length pass.
-    prefixes = np.minimum(-(-(real[order] + banks[-1][0]) // 8) * 8, length)
+    prefixes = kept[order]
     parts, start = [], 0
     while start < batch:
         # rows start..stop-1 cost (stop - start) * prefixes[stop - 1] positions
@@ -174,6 +226,53 @@ def _pool_ids(taps_w, banks, ids, table):
     back = np.argsort(order)
     return [(k, *(np.concatenate([part[i][j] for part in parts])[back] for j in (1, 2)))
             for i, (k, _, _) in enumerate(banks)]
+
+
+def _max_pool(taps_w, banks, x, table=None):
+    """_pool's pre_at_max of every bank, (B, M, total filters), without an
+    argmax or anything for a backward pass. x is (B, L) token ids of table,
+    or (B, L, M * d_in) vectors when table is None. Vectors and small id
+    batches are pooled whole; see the textCNN notes for the packed path."""
+    models, taps = taps_w.shape[:2]
+    widest = banks[-1][0]
+    if table is None:
+        x = _extend(x, widest)
+    batch, length = x.shape[:2]
+    cap = max(1, _TEXTCNN_BLOCK // (models * taps))  # token positions of one chunk
+    if table is None or batch * length * models * taps <= _TEXTCNN_BLOCK >> 4:
+        whole = (x.reshape(batch * length, -1) if table is None
+                 else embedding_forward(table, x.reshape(-1)))
+        maxima = [pre.max(axis=3) for _, pre in _window_pre(taps_w, banks, whole, (batch, length))]
+        return np.concatenate(maxima, axis=1).transpose(2, 0, 1)
+    real, kept = _kept_prefixes(x, widest)
+    live, slot = padding_slots(real == 0)
+    flat = x[np.arange(length) < np.where(live, kept, 0)[:, None]]
+    kept = kept[live]
+    ends = np.cumsum(kept)
+    starts = ends - kept
+    total = int(ends[-1])
+    chunks = -(-total // cap)
+    rows = (0, len(kept))
+    if chunks > 1:
+        cuts = np.searchsorted(ends, np.arange(1, chunks) * total // chunks, "right")
+        rows = np.unique(np.concatenate([[0], cuts, [len(kept)]]))
+    out = np.empty((models, sum(w.shape[0] for _, w, _ in banks), len(kept)))
+    for first, last in zip(rows[:-1], rows[1:]):
+        lo, hi = starts[first], ends[last - 1]
+        # each row's (start, end) of windows, interleaved for one reduceat
+        # per bank; the last end is the end of pre, so it is left out
+        bounds = np.empty(2 * (last - first), dtype=np.intp)
+        bounds[0::2] = starts[first:last] - lo
+        maxima = []
+        for k, pre in _window_pre(taps_w, banks, embedding_forward(table, flat[lo:hi]), (hi - lo,)):
+            np.subtract(ends[first:last] - lo, k - 1, out=bounds[1::2])
+            maxima.append(np.maximum.reduceat(pre, bounds[:-1], axis=2)[:, :, ::2])
+        np.concatenate(maxima, axis=1, out=out[:, :, first:last])
+    # (M, F, B) in C order, as _pool leaves one bucket (an index on the last
+    # axis would not keep that order); C order for (B, M, F), as _pool_ids
+    # leaves a batch of buckets
+    out = out.take(slot, axis=2).transpose(2, 0, 1)
+    return np.ascontiguousarray(out) if batch * length > cap else out
 
 
 class TextCNNLayout(NamedTuple):
@@ -191,7 +290,8 @@ def textcnn_layout(params: Params, prefix: str) -> TextCNNLayout:
     """The layout of the textCNN `prefix`, valid while its parameters keep
     their values: a training step changes them in place, so training
     derives it on every forward pass."""
-    windows = sorted(int(n.rsplit(".w", 1)[1]) for n in params if n.startswith(f"{prefix}.w"))
+    head = prefix + ".w"
+    windows = sorted(int(n[len(head):]) for n in params if n.startswith(head))
     banks = [(k, params[f"{prefix}.w{k}"], params[f"{prefix}.b{k}"]) for k in windows]
     models = banks[0][2].size // banks[0][1].shape[0]
     taps_w = np.concatenate([w.transpose(1, 0, 2).reshape(-1, w.shape[2]) for _, w, _ in banks])
@@ -201,12 +301,14 @@ def textcnn_layout(params: Params, prefix: str) -> TextCNNLayout:
 
 
 def textcnn_forward(params: Params, prefix: str, x: np.ndarray,
-                    embedding: np.ndarray | None = None, layout: TextCNNLayout | None = None):
+                    embedding: np.ndarray | None = None, layout: TextCNNLayout | None = None,
+                    cache: bool = True):
     """x is either (B, L) int token ids (embedding (V, M * d_in) required) or
     (B, L, M * d_in) vectors. Returns (z, cache) with z of shape
     (B, M * total filters). Sequences shorter than the largest window are
     zero-extended. layout is textcnn_layout(params, prefix), derived here
-    when not given."""
+    when not given. With cache=False the cache is None: z has the same
+    bits, pooled without what textcnn_backward reads, for scoring."""
     banks, models, taps_w = layout or textcnn_layout(params, prefix)
     ids = None
     orig_len = x.shape[1]
@@ -216,6 +318,9 @@ def textcnn_forward(params: Params, prefix: str, x: np.ndarray,
         ids = x
         if orig_len < banks[-1][0]:
             x = embedding_forward(embedding, ids)
+    if not cache:
+        pooled = _max_pool(taps_w, banks, x, embedding if x is ids else None)
+        return relu(pooled).reshape(len(pooled), -1), None
     if x is ids:
         pooled, x = _pool_ids(taps_w, banks, ids, embedding), None
     else:
@@ -266,8 +371,10 @@ def textcnn_backward(params: Params, cache, d_z: np.ndarray):
         # (M, B, n_k, k) positions of the argmax windows, laid out as d_pre
         at = np.empty((models, batch, n_k, k), dtype=arg.dtype)
         np.add(arg.T.reshape(models, n_k, batch).transpose(0, 2, 1)[..., None], np.arange(k), out=at)
-        windows = source[ids[rows, at], model] if x is None else source[rows, at, model]
-        grads[f"{prefix}.w{k}"] = (np.einsum("mbf,mbfjc->mfjc", d_pre, windows)
+        # the window gather lives only through its einsum
+        grads[f"{prefix}.w{k}"] = (np.einsum("mbf,mbfjc->mfjc", d_pre,
+                                             source[ids[rows, at], model] if x is None
+                                             else source[rows, at, model])
                                    .transpose(1, 2, 0, 3).reshape(w.shape))
         grads[f"{prefix}.b{k}"] = d_pre.sum(axis=1).reshape(-1)
         stop = start + at.size

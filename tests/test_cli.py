@@ -394,24 +394,49 @@ class TestOutputPaths:
         assert len(lines) == 1
         assert lines[0].startswith(f"usage error: cannot write {path}: ")
 
-    def test_predict_into_missing_directory(self, run_dir, tmp_path, corpus_path, capsys):
+    @staticmethod
+    def _forbid(monkeypatch, *names):
+        """Make each named jitdp.cli call fail the test if it is reached."""
+        def called(*args, **kwargs):
+            raise AssertionError("work done before the output path was checked")
+        for name in names:
+            monkeypatch.setattr(f"jitdp.cli.{name}", called)
+
+    def test_predict_into_missing_directory(self, run_dir, tmp_path, corpus_path, capsys,
+                                            monkeypatch):
+        self._forbid(monkeypatch, "load_bundle", "load_commit_stream", "predict_commits")
         out = tmp_path / "nodir" / "p.csv"
         code = main(["predict", "--bundle", str(run_dir / "bundle.json"),
                      "--corpus", str(corpus_path), "--out", str(out)])
         self._assert_usage_error(code, capsys, out)
 
-    def test_explain_into_missing_directory(self, run_dir, tmp_path, corpus_path, capsys):
+    def test_explain_into_missing_directory(self, run_dir, tmp_path, corpus_path, capsys,
+                                            monkeypatch):
+        commit = load_commit_stream(corpus_path)[5].commit_id
+        self._forbid(monkeypatch, "load_bundle", "load_commit_stream", "explain_commit")
         prefix = tmp_path / "nodir" / "e"
         code = main(["explain", "--bundle", str(run_dir / "bundle.json"),
-                     "--corpus", str(corpus_path), "--commit",
-                     load_commit_stream(corpus_path)[5].commit_id,
+                     "--corpus", str(corpus_path), "--commit", commit,
                      "--samples", "20", "--out", str(prefix)])
         self._assert_usage_error(code, capsys, f"{prefix}.txt")
 
-    def test_synthesize_into_missing_directory(self, tmp_path, capsys):
+    def test_synthesize_into_missing_directory(self, tmp_path, capsys, monkeypatch):
+        self._forbid(monkeypatch, "synthesize_corpus")
         out = tmp_path / "nodir" / "s.jsonl"
         code = main(["synthesize", "--out", str(out), "--size", "120"])
         self._assert_usage_error(code, capsys, out)
+
+    @pytest.mark.parametrize("command", ["predict", "synthesize"])
+    def test_out_that_is_a_directory_or_under_a_file(self, run_dir, tmp_path, corpus_path, capsys,
+                                                     monkeypatch, command):
+        self._forbid(monkeypatch, "load_bundle", "synthesize_corpus")
+        (tmp_path / "file").write_text("kept\n")
+        args = (["predict", "--bundle", str(run_dir / "bundle.json"), "--corpus", str(corpus_path)]
+                if command == "predict" else ["synthesize"])
+        for out, reason in ((tmp_path, "Is a directory"), (tmp_path / "file" / "x", "Not a directory")):
+            assert main([*args, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"usage error: cannot write {out}: {reason}\n"
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_evaluate_out_is_a_file(self, tmp_path, corpus_path, capsys):
         out = tmp_path / "taken"

@@ -273,6 +273,49 @@ class TestLockstep:
             assert all(np.array_equal(unstacked[n], models[m][n]) for n in models[m])
 
 
+class TestScoreDataset:
+    """score_dataset runs each textCNN without a cache, all-padding file rows
+    included, and shares the heads' code with forward_batch: every score is
+    forward_batch's, bit for bit, in passes of any size."""
+
+    @pytest.mark.parametrize("block", [nn._TEXTCNN_BLOCK, 1 << 12])
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    def test_scores_are_forward_batch_bits(self, block, batch, monkeypatch):
+        _, _, test, vocab = _datasets(SyntheticSpec(size=300, text_strength=1.0, seed=4))
+        test = _with_features(test, 5)
+        assert (test.file_ids == 0).all(axis=2).any()  # all-padding file rows
+        models = [init_deep_params(np.random.default_rng(i), len(vocab), DESK_CONFIG, s)
+                  for i, s in enumerate(STRATEGIES)]
+        monkeypatch.setattr(nn, "_TEXTCNN_BLOCK", block)
+        for params, strategy in ((models[4], "gmf"), (stack_params(models), STRATEGIES)):
+            scores = score_dataset(params, DESK_CONFIG, test, strategy, batch=batch)
+            want = []
+            for start in range(0, len(test), batch):
+                sl = slice(start, start + batch)
+                probs, _, _, _ = forward_batch(params, DESK_CONFIG, test.message_ids[sl],
+                                               test.file_ids[sl], test.x_cat[sl], test.x_cont[sl],
+                                               strategy)
+                want.append(probs[:, 1] if strategy == "gmf" else np.stack([p[:, 1] for p in probs], 1))
+            assert scores.tobytes() == np.concatenate(want).tobytes()
+
+    def test_no_forward_batch_and_no_cache(self, monkeypatch):
+        _, _, test, vocab = _datasets(SyntheticSpec(size=120, text_strength=1.0, seed=4))
+        params = init_deep_params(np.random.default_rng(0), len(vocab), DESK_CONFIG)
+        caches = []
+        forward = nn.textcnn_forward
+
+        def spy(*args, **kwargs):
+            z, cache = forward(*args, **kwargs)
+            caches.append(cache)
+            return z, cache
+
+        monkeypatch.setattr("jitdp.deep_model.forward_batch", None)
+        monkeypatch.setattr(nn, "textcnn_forward", spy)
+        score_dataset(params, DESK_CONFIG, test, batch=16)
+        assert len(caches) == 3 * -(-len(test) // 16)
+        assert all(c is None for c in caches)
+
+
 class TestTrainLogFile:
     def test_one_row_per_epoch(self, tmp_path):
         log = [TrainLogEntry(0, 0.7, 0.6, 0.4, 0.5), TrainLogEntry(1, 0.5, 0.7, 0.5, 0.6)]

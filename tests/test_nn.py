@@ -273,6 +273,105 @@ class TestTextCnnIdPath:
         assert all(rows == 1 or rows * length <= 40 for rows, length in embedded)
 
 
+@st.composite
+def scoring_cases(draw):
+    """M stacked models' textCNN params and a ragged token-id batch: all-padding
+    rows, rows shorter than the widest window, rows of any length and full
+    rows, at lengths that are and are not multiples of 8; and a block that
+    pools the batch whole, packed in one chunk, or packed in many."""
+    models = draw(st.sampled_from([1, 2, 5]))
+    windows = draw(st.sampled_from([(1, 2, 3), (2, 5)]))
+    d_in = draw(st.sampled_from([1, 3, 8]))
+    filters = draw(st.sampled_from([2, 5, 8]))
+    length = draw(st.sampled_from([windows[-1], 7, 8, 12, 16, 24, 31, 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    stack = [nn.textcnn_init(rng, "t", d_in, windows, filters) for _ in range(models)]
+    params = {n: np.concatenate([p[n] for p in stack], axis=-1) for n in stack[0]}
+    for n in params:
+        if ".b" in n:
+            params[n] = rng.normal(scale=0.3, size=params[n].shape)
+    ids = np.zeros((draw(st.integers(1, 40)), length), dtype=np.int64)
+    for r in range(len(ids)):
+        real = draw(st.sampled_from([0, 1, windows[-1] - 1, length // 2, length]))
+        ids[r, :real] = rng.integers(1, 30, size=real)
+    block = draw(st.sampled_from([1, 64, 600, 4000, 1 << 19]))
+    return params, ids, rng.normal(size=(30, models * d_in)), block
+
+
+def _kept_prefixes(ids, widest):
+    """min(L, real length + widest window, rounded up to 8 tokens) per row."""
+    real = np.array([np.flatnonzero(row).max() + 1 if row.any() else 0 for row in ids])
+    return np.minimum(-(-(real + widest) // 8) * 8, ids.shape[1])
+
+
+class TestTextCnnScoringPool:
+    """Scoring pools without an argmax: each filter's row maximum, from whole
+    rows, or from each row's kept prefix laid end to end in chunks. The
+    maxima are the training path's pre_at_max bit for bit when L is a
+    multiple of 8. Otherwise a row can end inside an 8-column tile of the
+    tap GEMM, which OpenBLAS may sum in another order, and they agree within
+    the id path's tolerance."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=scoring_cases())
+    def test_maxima_match_training_at_max(self, case):
+        params, ids, table, block = case
+        _, cache = nn.textcnn_forward(params, "t", ids, embedding=table)
+        at_max = np.concatenate([a for _, _, a in cache["banks"]], axis=2)
+        layout = nn.textcnn_layout(params, "t")
+        with mock.patch.object(nn, "_TEXTCNN_BLOCK", block):
+            maxima = nn._max_pool(layout.taps_w, layout.banks, ids, table)
+            z, none = nn.textcnn_forward(params, "t", ids, embedding=table, cache=False)
+        assert none is None
+        assert maxima.shape == at_max.shape
+        if ids.shape[1] % 8 == 0:
+            _assert_same_bits(maxima, at_max)
+            _assert_same_bits(z, nn.relu(at_max).reshape(len(ids), -1))
+        else:
+            np.testing.assert_allclose(maxima, at_max, rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_full_scale_width(self, vectors):
+        # d_in 64 and 127 taps, where OpenBLAS takes another kernel for a
+        # GEMM of few columns: a commit's 8 file rows and a 64-commit pass
+        rng = np.random.default_rng(42)
+        params = nn.textcnn_init(rng, "t", 64, (1, 2, 3), 64)
+        for k in (1, 2, 3):
+            params[f"t.b{k}"] = rng.normal(scale=0.1, size=params[f"t.b{k}"].shape)
+        table = rng.normal(size=(500, 64))
+        ids = rng.integers(1, 500, size=(512, 256))
+        ids[np.arange(256) >= rng.integers(0, 257, size=(512, 1))] = 0
+        ids[::3] = 0
+        for batch in (ids[:1], ids[:8], ids[8:16], ids):
+            x = table[batch] if vectors else batch
+            z, _ = nn.textcnn_forward(params, "t", x, embedding=None if vectors else table)
+            _assert_same_bits(nn.textcnn_forward(params, "t", x, embedding=None if vectors else table,
+                                                 cache=False)[0], z)
+
+    def test_padding_past_each_prefix_is_never_embedded(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        params = nn.textcnn_init(rng, "t", 3, (1, 2, 3), 5)
+        taps = sum(w.shape[0] * w.shape[1] for n, w in params.items() if ".w" in n)
+        ids = rng.integers(1, 20, size=(40, 32))
+        for r, n in enumerate(rng.integers(0, 33, size=40)):
+            ids[r, n:] = 0
+        ids[[3, 17]] = 0
+        embedded = []
+        monkeypatch.setattr(nn, "embedding_forward",
+                            lambda table, part: embedded.append(part.copy()) or table[part])
+        monkeypatch.setattr(nn, "_TEXTCNN_BLOCK", taps * 200)
+        z, _ = nn.textcnn_forward(params, "t", ids, embedding=rng.normal(size=(20, 3)), cache=False)
+        assert z.shape == (40, 5)
+        kept = _kept_prefixes(ids, 3)
+        kept[np.flatnonzero(~ids.any(axis=1))[1:]] = 0  # later all-padding rows pool as the first
+        assert len(embedded) > 3  # chunks of about 200 positions
+        assert all(len(part) <= 200 + 32 for part in embedded)
+        # the embedded ids are each row's kept prefix, rows in order
+        assert np.array_equal(np.concatenate(embedded),
+                              np.concatenate([row[:n] for row, n in zip(ids, kept)]))
+        assert sum(map(len, embedded)) == kept.sum() < ids.size
+
+
 class TestClassifier:
     def test_zero_params_give_half_half(self):
         params = {"c.wh": np.zeros((4, 3)), "c.bh": np.zeros(4),
