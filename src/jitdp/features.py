@@ -290,10 +290,14 @@ def extract_features(commit: CommitRecord, history: HistoryIndex) -> HandCrafted
     return FeatureTable([commit.commit_id], _featurize([commit], history))[commit.commit_id]
 
 
-def _check_sorted(corpus) -> None:
+def _check_sorted(corpus, after=None) -> None:
+    """A DataError unless the corpus ascends by (timestamp, commit_id) and,
+    given the key `after`, starts beyond it."""
     keys = [(c.timestamp, c.commit_id) for c in corpus]
     if keys != sorted(keys):
         raise DataError("corpus must be sorted ascending by (timestamp, commit_id)")
+    if after is not None and keys and keys[0] <= after:
+        raise DataError(f"commit {keys[0][1]} is not later than the history's last commit")
 
 
 def history_snapshots(corpus):
@@ -307,11 +311,19 @@ def history_snapshots(corpus):
         index.update(commit)
 
 
-def featurize_corpus(corpus) -> FeatureTable:
+def featurize_corpus(corpus, history: HistoryIndex | None = None) -> FeatureTable:
     """commit_id -> HandCraftedVector for a chronologically sorted corpus,
-    backed by its (n, 14) feature matrix in corpus order."""
-    _check_sorted(corpus)
-    return FeatureTable([c.commit_id for c in corpus], _featurize(corpus, HistoryIndex()))
+    backed by its (n, 14) feature matrix in corpus order. Given a history
+    (the index of the commits before the corpus), each commit is featurized
+    against it and then added to it, so that a stream featurized in
+    consecutive parts through one history gets the rows of one call."""
+    carried = history is not None
+    history = history if carried else HistoryIndex()
+    _check_sorted(corpus, after=history._cursor)
+    table = FeatureTable([c.commit_id for c in corpus], _featurize(corpus, history))
+    if carried and corpus:
+        history.update(corpus[-1])
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ corpus), so re-running a config reproduces byte-identical files.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import mmap
@@ -55,6 +56,7 @@ from .explain import explain_instance
 # split_and_normalize is not called here; perfbench/spans.py wraps it in this namespace.
 from .features import (  # noqa: F401
     FEATURE_NAMES,
+    HistoryIndex,
     TrainStats,
     featurize_corpus,
     fit_train_stats,
@@ -71,6 +73,7 @@ from .simple_model import (
     train_forest,
 )
 from .textprep import (
+    PAD_ID,
     TextShape,
     Vocab,
     build_vocab,
@@ -202,16 +205,20 @@ def _workers_available() -> bool:
     return sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
 
 
-def _beside(work, own):
+def _beside(work, own, alone=None):
     """(work(), own()), with work() run in a forked child while this process
     runs own(), where _workers_available(); elsewhere both run here, work()
-    first. work()'s result comes back pickled through a pipe, and what it
-    raises is raised here (a RuntimeError, if the exception does not
-    survive pickling, or if the child dies). If own() raises, the child is
-    killed. Either way the child is reaped before this returns. A fork that
-    fails (no process or memory to spare) runs both here."""
+    first, or, given alone, (None, alone()) stands for them. work()'s result
+    comes back pickled through a pipe, and what it raises is raised here (a
+    RuntimeError, if the exception does not survive pickling, or if the
+    child dies). If own() raises, the child is killed. Either way the child
+    is reaped before this returns. A fork that fails (no process or memory
+    to spare) runs them here."""
+    def here():
+        return (work(), own()) if alone is None else (None, alone())
+
     if not _workers_available():
-        return work(), own()
+        return here()
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -224,7 +231,7 @@ def _beside(work, own):
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return work(), own()
+        return here()
     if pid == 0:
         os.close(read_fd)
         _worker_main(work, write_fd)
@@ -684,47 +691,35 @@ def _load_bundle(manifest_path: Path) -> LoadedBundle:
     )
 
 
-# The fewest commits for which predict_commits encodes the commit text in a
-# worker process (_beside) while it featurizes and runs the forest itself.
-# On 2 CPUs the worker scored 2,000 commits 1.19x faster; at 1,000 commits,
-# where the fork and copy-on-write faults weigh more, runs read 0.89-1.20x.
-PREDICT_WORKER_MIN_COMMITS = 2000
+# Commits that predict_commits featurizes, encodes and scores together. A
+# multiple of score_dataset's 256-row pass and of the forest's 256-row
+# block, so that every pass covers the rows it covers in one pass over the
+# whole stream, and the scores keep their bits.
+PREDICT_CHUNK = 2048
 
 
 def predict_commits(bundle: LoadedBundle, corpus) -> list:
     """Score a commit stream with a trained bundle. History-dependent
     features are computed within the given stream (chronological pass).
     Returns rows (commit_id, fused, class, sim, com, early-or-None) in the
-    input order."""
+    input order. Two commits with one id are a DataError naming it.
+
+    The sorted stream is scored in chunks of PREDICT_CHUNK commits, so that
+    no stage holds more than one chunk's arrays. Where the stream is longer
+    than one chunk, a worker (_beside) encodes the text one chunk ahead."""
     if not corpus:
         return []
     ordered = sort_chronologically(corpus)
-    n, shape = len(ordered), bundle.shape
-
-    def own():
-        x = featurize_corpus(ordered).matrix
-        return x, forest_predict_many(bundle.sim, x)
-
-    ids = None  # _dataset encodes the commits
-    if n < PREDICT_WORKER_MIN_COMMITS:
-        x, sim_scores = own()
-    else:
-        # The worker writes the ids into pages shared with this process and
-        # sends back nothing.
-        ids = (_shared_zeros((n, shape.l_msg)), _shared_zeros((n, shape.files, shape.l_code)))
-
-        def encode():
-            encode_commits(ordered, bundle.vocab, shape, out=ids)
-
-        _, (x, sim_scores) = _beside(encode, own)
-    ds = _dataset(ordered, bundle.vocab, shape, *normalize_features(x, bundle.stats), ids=ids)
-    scores = _model_scores(sim_scores, bundle.deep_params, bundle.deep_cfg,
-                           () if bundle.early == "none" else (bundle.early,), ds,
-                           bundle.deep_layouts, bundle.deep_heads)
+    pos = {}
+    for j, c in enumerate(ordered):
+        if pos.setdefault(c.commit_id, j) != j:
+            raise DataError(f"duplicate commit_id '{c.commit_id}' in the stream")
+    chunks = [ordered[a:a + PREDICT_CHUNK] for a in range(0, len(ordered), PREDICT_CHUNK)]
+    scores = (_score_encoded_ahead(bundle, chunks) if len(chunks) > 1
+              else _score_chunks(bundle, chunks, repeat(None)))
     early_scores = scores.get(f"fused_{bundle.early}")
     fused = fusion.apply_bundle_rule(bundle.early, bundle.late, bundle.weights,
                                      scores["sim"], scores["com"], early_scores)
-    pos = {c.commit_id: j for j, c in enumerate(ordered)}
     at = np.array([pos[c.commit_id] for c in corpus])
     fused = fused.take(at)
     early = repeat(None) if early_scores is None else early_scores.take(at).tolist()
@@ -733,11 +728,130 @@ def predict_commits(bundle: LoadedBundle, corpus) -> list:
                     scores["com"].take(at).tolist(), early))
 
 
+def _score_chunks(bundle: LoadedBundle, chunks, ids) -> dict:
+    """_model_scores of the chunks, joined in order. Each chunk is
+    featurized against one history of the chunks before it, then its
+    forest scores are taken, and only then is its (message_ids, file_ids)
+    pair drawn from the iterator ids (None: encode the chunk here)."""
+    history = HistoryIndex() if len(chunks) > 1 else None  # None: nothing to carry
+    early = () if bundle.early == "none" else (bundle.early,)
+    parts = []
+    for chunk in chunks:
+        x = featurize_corpus(chunk, history).matrix
+        sim_scores = forest_predict_many(bundle.sim, x)
+        ds = _dataset(chunk, bundle.vocab, bundle.shape, *normalize_features(x, bundle.stats),
+                      ids=next(ids))
+        parts.append(_model_scores(sim_scores, bundle.deep_params, bundle.deep_cfg, early, ds,
+                                   bundle.deep_layouts, bundle.deep_heads))
+    if len(parts) == 1:  # one chunk, such as one commit: no copies
+        return parts[0]
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+
+
+def _score_encoded_ahead(bundle: LoadedBundle, chunks) -> dict:
+    """_score_chunks, with a forked worker encoding chunk k + 1 while this
+    process scores chunk k. The worker writes each chunk's ids into the
+    other of two chunk-sized slots shared with this process; one byte down
+    a pipe says a chunk is ready, and one byte back says its slot is free
+    again. Where no worker can be forked, every chunk is encoded here."""
+    shape = bundle.shape
+    slots = [(_shared_zeros((PREDICT_CHUNK, shape.l_msg)),
+              _shared_zeros((PREDICT_CHUNK, shape.files, shape.l_code))) for _ in range(2)]
+    ready, free = _pipe(), _pipe()
+
+    def slot(k):
+        return tuple(a[:len(chunks[k])] for a in slots[k % 2])
+
+    def encode():
+        ready[0].close()
+        free[1].close()
+        for k, chunk in enumerate(chunks):
+            if k >= 2 and not free[0].read(1):
+                return  # this process is gone
+            ids = slot(k)
+            for a in ids:
+                a.fill(PAD_ID)
+            encode_commits(chunk, bundle.vocab, shape, out=ids)
+            ready[1].write(b"\0")
+
+    def encoded():
+        for k in range(len(chunks)):
+            if not ready[0].read(1):
+                raise EOFError  # the worker failed before chunk k
+            yield slot(k)
+            if k + 2 < len(chunks):
+                free[1].write(b"\0")
+
+    def score():
+        ready[1].close()
+        free[0].close()
+        try:
+            with _one_blas_thread():
+                return _score_chunks(bundle, chunks, encoded())
+        except (EOFError, BrokenPipeError):
+            return None  # the worker is gone; _beside raises what it raised
+
+    try:
+        _, scores = _beside(encode, score, alone=lambda: _score_chunks(bundle, chunks, repeat(None)))
+    finally:
+        for end in (*ready, *free):
+            end.close()
+    return scores
+
+
+def _pipe() -> tuple:
+    """A new pipe's (read, write) ends as unbuffered binary files."""
+    read_fd, write_fd = os.pipe()
+    return open(read_fd, "rb", buffering=0), open(write_fd, "wb", buffering=0)
+
+
 def _shared_zeros(shape) -> np.ndarray:
     """An int64 array of zeros (PAD_ID) in an anonymous shared mapping, so
     that what a forked child writes into it shows here."""
     count = int(np.prod(shape))
     return np.frombuffer(mmap.mmap(-1, 8 * count), np.int64, count).reshape(shape)
+
+
+def _openblas():
+    """(get, set) for the thread count of the OpenBLAS this process has
+    loaded, found by its symbols among the libraries mapped into the
+    process; None where no OpenBLAS is loaded."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            libs = sorted({ln.split()[-1] for ln in handle if "openblas" in ln and ".so" in ln})
+    except OSError:
+        return None
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold this process's OpenBLAS to one thread within the block, and
+    restore its thread count after; nothing where no OpenBLAS is loaded.
+    Beside a busy worker, a second BLAS thread contends for the worker's
+    core: on 2 CPUs next to a busy process, deep scoring of 16,000 commits
+    took 1.14 s with two threads, 0.49 s with one (0.44 and 0.45 s with
+    the other CPU idle)."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 PREDICTIONS_HEADER = "commit_id,fused_score,class,sim_score,com_score,early_score"

@@ -552,6 +552,24 @@ class TestFeaturizedMatrix:
         table = featurize_corpus([])
         assert len(table) == 0 and table.matrix.shape == (0, len(FEATURE_NAMES))
 
+    @settings(max_examples=30, deadline=None)
+    @given(corpus=corpora(), data=st.data())
+    def test_parts_through_one_history_are_one_call(self, corpus, data):
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(corpus)), max_size=4)))
+        history = HistoryIndex()
+        parts = [featurize_corpus(corpus[a:b], history).matrix
+                 for a, b in zip([0, *cuts], [*cuts, len(corpus)])]
+        assert np.concatenate(parts).tobytes() == featurize_corpus(corpus).matrix.tobytes()
+        assert history.changes == len(corpus)
+
+    def test_a_part_must_follow_its_history(self, fixture_corpus):
+        history = HistoryIndex()
+        featurize_corpus(fixture_corpus[:10], history)
+        for part in (fixture_corpus[9:12], fixture_corpus[5:8]):
+            with pytest.raises(DataError, match=f"commit {part[0].commit_id} is not later"):
+                featurize_corpus(part, history)
+        assert history.changes == 10
+
 
 class TestNormalizeFeatures:
     def test_rows_equal_one_row_calls(self, fixture_corpus):

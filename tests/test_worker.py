@@ -1,6 +1,7 @@
 """The forked worker of pipeline._beside: what it computes equals what the
 same work computes in process, its failures reach the caller, and no child
-outlives the call that made it."""
+outlives the call that made it. predict_commits' chunked rows, with the
+worker and without it, equal those of one pass over the whole stream."""
 
 import json
 import os
@@ -9,13 +10,16 @@ import signal
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from jitdp import pipeline
-from jitdp.corpus import csv_line, save_commit_stream
+from jitdp import fusion, pipeline
+from jitdp.corpus import DataError, save_commit_stream, sort_chronologically
+from jitdp.features import featurize_corpus, normalize_features
 from jitdp.pipeline import PipelineError, RunConfig, load_bundle, predict_commits, run_pipeline
+from jitdp.simple_model import forest_predict_many
 
 TINY = dict(l_msg=16, l_code=32, files=3, embed_dim=6, filters=6, hidden=12, epochs=1,
             batch_size=32, lr=4e-3, dropout=0.25, forest_trees=10, seed=4)
@@ -60,36 +64,142 @@ def acceptance_bundle(acceptance_corpus, tmp_path_factory):
     return load_bundle(base / "run" / "bundle.json")
 
 
-def _predicted(bundle, commits, min_commits):
-    saved = pipeline.PREDICT_WORKER_MIN_COMMITS
-    pipeline.PREDICT_WORKER_MIN_COMMITS = min_commits
-    try:
-        return [csv_line(row) for row in predict_commits(bundle, commits)]
-    finally:
-        pipeline.PREDICT_WORKER_MIN_COMMITS = saved
+def _one_pass(bundle, commits) -> list:
+    """predict_commits' rows as one pass over the whole stream scores them:
+    one featurize_corpus call, one dataset and one _model_scores call."""
+    ordered = sort_chronologically(commits)
+    x = featurize_corpus(ordered).matrix
+    ds = pipeline._dataset(ordered, bundle.vocab, bundle.shape,
+                           *normalize_features(x, bundle.stats))
+    early = () if bundle.early == "none" else (bundle.early,)
+    scores = pipeline._model_scores(forest_predict_many(bundle.sim, x), bundle.deep_params,
+                                    bundle.deep_cfg, early, ds, bundle.deep_layouts,
+                                    bundle.deep_heads)
+    early_scores = scores.get(f"fused_{bundle.early}")
+    fused = fusion.apply_bundle_rule(bundle.early, bundle.late, bundle.weights, scores["sim"],
+                                     scores["com"], early_scores).tolist()
+    sim, com = scores["sim"].tolist(), scores["com"].tolist()
+    early_scores = [None] * len(ordered) if early_scores is None else early_scores.tolist()
+    rows = {c.commit_id: (c.commit_id, fused[j], int(fused[j] > 0.5), sim[j], com[j], early_scores[j])
+            for j, c in enumerate(ordered)}
+    return [rows[c.commit_id] for c in commits]
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_worker_rows_equal_in_process_rows(acceptance_bundle, acceptance_corpus, forks, data):
-    picks = data.draw(st.lists(st.integers(0, len(acceptance_corpus) - 1), min_size=1, max_size=300,
-                               unique=True))
+def _blas_threads():
+    """The OpenBLAS thread count of this process, or None without OpenBLAS."""
+    blas = pipeline._openblas()
+    return None if blas is None else blas[0]()
+
+
+def _assert_blas_threads(before):
+    if before is not None:
+        assert _blas_threads() == before
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(length=st.sampled_from([255, 256, 257, 513, 2000]) | st.integers(1, 2000),
+       seed=st.integers(0, 2**32 - 1))
+@example(length=255, seed=0)
+@example(length=256, seed=1)
+@example(length=257, seed=2)
+@example(length=513, seed=3)
+@example(length=2000, seed=4)
+def test_worker_rows_equal_in_process_rows(acceptance_bundle, acceptance_corpus, forks, monkeypatch,
+                                           length, seed):
+    """Chunked rows, with the worker and without it, are the rows of one
+    pass over the whole stream, for random subsets in random orders."""
+    monkeypatch.setattr(pipeline, "PREDICT_CHUNK", 256)
+    picks = np.random.default_rng(seed).choice(len(acceptance_corpus), length, replace=False)
     commits = [acceptance_corpus[i] for i in picks]
+    expected = _one_pass(acceptance_bundle, commits)
+    threads = _blas_threads()
     before = len(forks)
-    in_process = _predicted(acceptance_bundle, commits, len(commits) + 1)
-    assert len(forks) == before
-    assert _predicted(acceptance_bundle, commits, 1) == in_process
-    assert len(forks) == before + 1
+    assert predict_commits(acceptance_bundle, commits) == expected
+    assert len(forks) == before + (length > 256)
+    _assert_blas_threads(threads)
+    with monkeypatch.context() as here:
+        here.setattr(pipeline, "_workers_available", lambda: False)
+        assert predict_commits(acceptance_bundle, commits) == expected
+    assert len(forks) == before + (length > 256)
     _no_child_left()
 
 
-def test_predict_forks_from_the_named_stream_size(acceptance_bundle, acceptance_corpus, forks):
-    n = pipeline.PREDICT_WORKER_MIN_COMMITS
-    assert n <= len(acceptance_corpus)
-    predict_commits(acceptance_bundle, acceptance_corpus[: n - 1])
+def test_predict_forks_for_more_than_one_chunk(acceptance_bundle, acceptance_corpus, forks,
+                                               monkeypatch):
+    monkeypatch.setattr(pipeline, "PREDICT_CHUNK", 256)
+    predict_commits(acceptance_bundle, acceptance_corpus[:256])
     assert forks == []
-    predict_commits(acceptance_bundle, acceptance_corpus[:n])
+    predict_commits(acceptance_bundle, acceptance_corpus[:257])
     assert len(forks) == 1
+
+
+def test_a_duplicate_commit_id_is_a_data_error(acceptance_bundle, acceptance_corpus):
+    commits = acceptance_corpus[:50]
+    again = replace(commits[10], message=commits[10].message + " again")
+    with pytest.raises(DataError, match=f"duplicate commit_id '{again.commit_id}'"):
+        predict_commits(acceptance_bundle, [*commits, again])
+
+
+def test_an_encode_error_in_the_worker_reaches_the_caller(acceptance_bundle, acceptance_corpus,
+                                                           forks, monkeypatch):
+    monkeypatch.setattr(pipeline, "PREDICT_CHUNK", 256)
+    real_encode, calls = pipeline.encode_commits, []
+
+    def encode(commits, *args, **kwargs):
+        calls.append(len(commits))
+        if len(calls) == 3:
+            raise DataError(f"cannot encode chunk 2 in process {os.getpid()}")
+        return real_encode(commits, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "encode_commits", encode)
+    threads = _blas_threads()
+    with pytest.raises(DataError) as info:
+        predict_commits(acceptance_bundle, acceptance_corpus[:1000])
+    assert str(info.value) == f"cannot encode chunk 2 in process {forks[0]}"
+    assert calls == []  # this process encoded nothing
+    _assert_blas_threads(threads)
+    _no_child_left()
+
+
+def test_a_scoring_error_here_kills_the_worker(acceptance_bundle, acceptance_corpus, forks,
+                                               monkeypatch):
+    monkeypatch.setattr(pipeline, "PREDICT_CHUNK", 256)
+    real_scores, held = pipeline._model_scores, []
+
+    def scores(*args, **kwargs):
+        held.append(_blas_threads())
+        if len(held) == 2:
+            raise KeyError("scoring failed")
+        return real_scores(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_model_scores", scores)
+    threads = _blas_threads()
+    with pytest.raises(KeyError, match="scoring failed"):
+        predict_commits(acceptance_bundle, acceptance_corpus[:1000])
+    assert len(forks) == 1
+    with pytest.raises(ProcessLookupError):
+        os.kill(forks[0], 0)
+    if threads is not None:
+        assert held == [1, 1]  # one BLAS thread while the worker lives
+    _assert_blas_threads(threads)
+    _no_child_left()
+
+
+def test_a_failed_fork_scores_here(acceptance_bundle, acceptance_corpus, monkeypatch):
+    monkeypatch.setattr(pipeline, "PREDICT_CHUNK", 256)
+    commits = acceptance_corpus[:1000]
+    expected = _one_pass(acceptance_bundle, commits)
+
+    def no_fork():
+        raise OSError("fork: cannot allocate memory")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    threads = _blas_threads()
+    assert predict_commits(acceptance_bundle, commits) == expected
+    assert len(os.listdir("/proc/self/fd")) == fds
+    _assert_blas_threads(threads)
+    _no_child_left()
 
 
 def _artifacts(out):
