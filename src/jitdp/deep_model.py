@@ -328,7 +328,7 @@ def train_deep(train_ds: DeepDataset, val_ds: DeepDataset, vocab_size: int,
             for s, (loss, _) in zip(strategies, steps):
                 if not np.isfinite(loss):
                     raise TrainingError(f"non-finite loss at epoch {epoch} batch {b_idx}"
-                                        + (f" ({s})" if count > 1 else ""))
+                                        + ("" if isinstance(strategy, str) else f" ({s})"))
             grads = backward_batch(params, cache, [d_logits for _, d_logits in steps])
             nn.adam_step(adam, params, grads)
             losses.append([loss for loss, _ in steps])

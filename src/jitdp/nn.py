@@ -4,12 +4,11 @@ Layers: embedding lookup, textCNN (convolution over token windows with
 ReLU and per-filter max-pooling), a two-logit fully connected classifier
 with exponential normalization, dropout, class-weighted cross-entropy.
 Training uses bias-corrected Adam. Every layer has a hand-written backward
-pass; finite_diff_check verifies analytic gradients against central
-differences.
+pass.
 
-Parameters live in a flat dict of name -> ndarray so the optimizer, the
-checkpoint format, and the gradient checker stay generic. Inputs to the
-batched layers carry a leading batch axis.
+Parameters live in a flat dict of name -> ndarray so the optimizer and the
+checkpoint format stay generic. Inputs to the batched layers carry a
+leading batch axis.
 """
 
 from __future__ import annotations
@@ -623,49 +622,6 @@ def adam_step(state: AdamState, params: Params, grads: Params) -> None:
             step *= state.lr
             step /= denom
             p -= step
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-
-def finite_diff_check(loss_and_grads, params: Params, eps: float = 1e-5,
-                      max_coords_per_param: int | None = None, seed: int = 0) -> float:
-    """Compare analytic gradients against central differences.
-
-    loss_and_grads() evaluates the model at the current params and returns
-    (scalar loss, grads dict). Probes every coordinate unless a per-param
-    sample cap is given. Returns the max relative error
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
-    """
-    loss0, grads = loss_and_grads()
-    if not np.isfinite(loss0):
-        raise FloatingPointError("non-finite loss at the probe point")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for name in sorted(params):
-        if name not in grads:
-            continue
-        p = params[name]
-        flat = p.reshape(-1)
-        size = flat.size
-        if max_coords_per_param is not None and size > max_coords_per_param:
-            idxs = rng.choice(size, size=max_coords_per_param, replace=False)
-        else:
-            idxs = range(size)
-        analytic = grads[name].reshape(-1)
-        for i in idxs:
-            orig = flat[i]
-            flat[i] = orig + eps
-            plus, _ = loss_and_grads()
-            flat[i] = orig - eps
-            minus, _ = loss_and_grads()
-            flat[i] = orig
-            numeric = (plus - minus) / (2 * eps)
-            err = abs(analytic[i] - numeric) / max(abs(analytic[i]), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------------------

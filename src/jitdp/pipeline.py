@@ -15,7 +15,7 @@ import pickle
 import signal
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -208,14 +208,14 @@ def _workers_available() -> bool:
 def _beside(work, own, alone=None):
     """(work(), own()), with work() run in a forked child while this process
     runs own(), where _workers_available(); elsewhere both run here, work()
-    first, or, given alone, (None, alone()) stands for them. work()'s result
+    first, or, given alone, alone() stands for the pair. work()'s result
     comes back pickled through a pipe, and what it raises is raised here (a
     RuntimeError, if the exception does not survive pickling, or if the
     child dies). If own() raises, the child is killed. Either way the child
     is reaped before this returns. A fork that fails (no process or memory
     to spare) runs them here."""
     def here():
-        return (work(), own()) if alone is None else (None, alone())
+        return (work(), own()) if alone is None else alone()
 
     if not _workers_available():
         return here()
@@ -397,17 +397,41 @@ def _run_once(ordered, features, config: RunConfig, out: Path, until: str, rows,
                                  for r in rows)
 
     def _train_models():
+        """The forest, and the deep stack: the commit model, then one
+        early-fused model per strategy. A worker fits the forest and then
+        trains the first half of the stack while this process trains the
+        rest, each on one BLAS thread so that neither takes the other's
+        core; for a stack of one, the worker fits only the forest and no
+        thread count is held. Without a worker the whole stack trains in one
+        call, which is quicker in one process."""
         row_of = {ordered[j].commit_id: j for j in train}
         labels = {i: ordered[j].label for i, j in row_of.items()}
         balanced = sorted(undersample(row_of, labels, config.seed))
-        # The forest fits beside the deep models; the commit model comes
-        # first in their stack, then one early-fused model per strategy.
-        sim, trained = _beside(
-            lambda: train_forest(x_all[[row_of[i] for i in balanced]],
-                                 np.array([labels[i] for i in balanced]),
-                                 ForestConfig(n_trees=config.forest_trees), seed=config.seed),
-            lambda: train_deep(train_ds, val_ds, len(vocab), deep_cfg, seed=config.seed,
-                               strategy=("none", *config.early_strategies)))
+        # train_deep gives each model the bits it gets alone, so the cut
+        # changes no artifact.
+        stack = ("none", *config.early_strategies)
+        half = len(stack) // 2
+        held = _one_blas_thread if half else nullcontext
+
+        def forest():
+            return train_forest(x_all[[row_of[i] for i in balanced]],
+                                np.array([labels[i] for i in balanced]),
+                                ForestConfig(n_trees=config.forest_trees), seed=config.seed)
+
+        def deep(part):
+            return train_deep(train_ds, val_ds, len(vocab), deep_cfg, seed=config.seed,
+                              strategy=part)
+
+        def first():
+            with held():
+                return forest(), deep(stack[:half]) if half else []
+
+        def rest():
+            with held():
+                return deep(stack[half:])
+
+        (sim, trained), more = _beside(first, rest, alone=lambda: ((forest(), []), deep(stack)))
+        trained += more
         save_forest(out / "sim_forest.ckpt", sim)
         names = ["com"] + [f"fused_{s}" for s in config.early_strategies]
         for name, (params, log) in zip(names, trained):
@@ -792,7 +816,8 @@ def _score_encoded_ahead(bundle: LoadedBundle, chunks) -> dict:
             return None  # the worker is gone; _beside raises what it raised
 
     try:
-        _, scores = _beside(encode, score, alone=lambda: _score_chunks(bundle, chunks, repeat(None)))
+        _, scores = _beside(encode, score,
+                            alone=lambda: (None, _score_chunks(bundle, chunks, repeat(None))))
     finally:
         for end in (*ready, *free):
             end.close()

@@ -25,6 +25,7 @@ from jitdp.pipeline import RunConfig, load_bundle, predict_commits, run_pipeline
 from conftest import FIXTURE_COMMITS
 from test_evaluation import brute_force_roc, enumerate_wilcoxon, step_curve_ap
 from test_features import EXPECTED_FEATURES, FEATURE_NAMES, oracle_features
+from test_nn import finite_diff_check
 
 
 def _report(criterion, detail):
@@ -88,7 +89,7 @@ def test_criterion_2_gradient_suite():
         grads["emb"] = nn.embedding_backward(d_x, ids, 9)
         return 0.5 * float((diff**2).sum()), grads
 
-    worst["textcnn"] = nn.finite_diff_check(cnn_loss, params)
+    worst["textcnn"] = finite_diff_check(cnn_loss, params)
 
     clf = nn.classifier_init(rng, "c", 5, 7)
     z_in = rng.normal(size=(3, 5))
@@ -100,7 +101,7 @@ def test_criterion_2_gradient_suite():
         _, grads = nn.classifier_backward(clf, cache, d_logits)
         return loss, grads
 
-    worst["classifier"] = nn.finite_diff_check(clf_loss, clf)
+    worst["classifier"] = finite_diff_check(clf_loss, clf)
 
     # each fusion layer in isolation (quadratic loss directly on C)
     for strategy in ("sc", "tc", "amf", "gmf"):
@@ -117,7 +118,7 @@ def test_criterion_2_gradient_suite():
             grads["x"] = d_x
             return 0.5 * float((c**2).sum()), grads
 
-        worst[f"fuse_{strategy}"] = nn.finite_diff_check(fuse_loss, fparams)
+        worst[f"fuse_{strategy}"] = finite_diff_check(fuse_loss, fparams)
 
     # full deep stacks at micro scale
     cfg = DeepConfig(embed_dim=4, filters=3, windows=(1, 2, 3), hidden=5,
@@ -138,7 +139,7 @@ def test_criterion_2_gradient_suite():
             return loss, backward_batch(params, cache, d_logits)
 
         name = "com" if strategy == "none" else f"com_{strategy}"
-        worst[name] = nn.finite_diff_check(stack_loss, params)
+        worst[name] = finite_diff_check(stack_loss, params)
 
     elapsed = time.time() - start
     assert all(v < 1e-4 for v in worst.values()), worst

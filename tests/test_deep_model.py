@@ -23,11 +23,11 @@ from jitdp.deep_model import (
 )
 from jitdp.evaluation import roc_auc
 from jitdp import nn
-from jitdp.nn import cross_entropy_batch, finite_diff_check, save_params
+from jitdp.nn import cross_entropy_batch, save_params
 from jitdp.pipeline import RunConfig
 from jitdp.textprep import build_vocab, render_change_document, tokenize
 
-from test_nn import scalar_loop_textcnn
+from test_nn import finite_diff_check, scalar_loop_textcnn
 
 # The desk-scale setup of the default run config.
 DESK_CONFIG = RunConfig().deep_config()

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from jitdp import fusion, pipeline
+from jitdp import deep_model, fusion, pipeline
+from jitdp.cli import main
 from jitdp.corpus import DataError, save_commit_stream, sort_chronologically
+from jitdp.deep_model import TrainingError
 from jitdp.features import featurize_corpus, normalize_features
 from jitdp.pipeline import PipelineError, RunConfig, load_bundle, predict_commits, run_pipeline
 from jitdp.simple_model import forest_predict_many
@@ -94,6 +96,10 @@ def _blas_threads():
 def _assert_blas_threads(before):
     if before is not None:
         assert _blas_threads() == before
+
+
+def _no_fork():
+    raise OSError("fork: cannot allocate memory")
 
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -189,11 +195,7 @@ def test_a_failed_fork_scores_here(acceptance_bundle, acceptance_corpus, monkeyp
     monkeypatch.setattr(pipeline, "PREDICT_CHUNK", 256)
     commits = acceptance_corpus[:1000]
     expected = _one_pass(acceptance_bundle, commits)
-
-    def no_fork():
-        raise OSError("fork: cannot allocate memory")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "fork", _no_fork)
     fds = len(os.listdir("/proc/self/fd"))
     threads = _blas_threads()
     assert predict_commits(acceptance_bundle, commits) == expected
@@ -209,20 +211,108 @@ def _artifacts(out):
     return files, config
 
 
+def _record_training(monkeypatch, log):
+    """Make pipeline.train_deep append [pid, strategies, BLAS threads] to
+    the file log, from whichever process calls it; returns a reader."""
+    real = pipeline.train_deep
+
+    def train_deep(*args, strategy, **kwargs):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps([os.getpid(), list(strategy), _blas_threads()]) + "\n")
+        return real(*args, strategy=strategy, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_deep", train_deep)
+    return lambda: [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.mark.parametrize("in_process", ["one_cpu", "failed_fork"])
+@pytest.mark.parametrize("early", [(), ("sc",), RunConfig.early_strategies],
+                         ids=["stack_of_1", "stack_of_2", "stack_of_5"])
 def test_evaluate_writes_the_same_artifacts_with_and_without_the_worker(
-        acceptance_corpus, tmp_path, monkeypatch, forks):
+        acceptance_corpus, tmp_path, monkeypatch, forks, early, in_process):
+    """The worker fits the forest and trains the first half of the deep
+    stack, this process the rest, each on one BLAS thread while both train;
+    in process the whole stack trains in one call. Either way the bytes are
+    the same."""
     save_commit_stream(tmp_path / "corpus.jsonl", acceptance_corpus[:300])
-    config = RunConfig(corpus=str(tmp_path / "corpus.jsonl"), **TINY)
+    config = RunConfig(corpus=str(tmp_path / "corpus.jsonl"), early_strategies=early, **TINY)
+    stack = ["none", *early]
+    half = len(stack) // 2
+    trained = _record_training(monkeypatch, tmp_path / "trained.jsonl")
+    threads = _blas_threads()
+    held = 1 if half and threads is not None else threads
     run_pipeline(replace(config, out=str(tmp_path / "worker")))
     assert len(forks) == 1
-    monkeypatch.setattr(pipeline, "_workers_available", lambda: False)
-    run_pipeline(replace(config, out=str(tmp_path / "here")))
+    parts = [[forks[0], stack[:half], held]] if half else []
+    parts.append([os.getpid(), stack[half:], held])
+    assert sorted(trained()) == sorted(parts)
+    _assert_blas_threads(threads)
+    with monkeypatch.context() as alone:
+        if in_process == "one_cpu":
+            alone.setattr(pipeline, "_workers_available", lambda: False)
+        else:
+            alone.setattr(os, "fork", _no_fork)
+        run_pipeline(replace(config, out=str(tmp_path / "here")))
     assert len(forks) == 1
+    assert trained()[len(parts):] == [[os.getpid(), stack, threads]]
     worker, here = _artifacts(tmp_path / "worker"), _artifacts(tmp_path / "here")
     assert sorted(worker[0]) == sorted(here[0])
     for name, blob in worker[0].items():
         assert blob == here[0][name], name
     assert worker[1] == here[1]
+
+
+@pytest.mark.parametrize("failing", ["worker", "main", "both"])
+def test_a_training_error_in_either_part_is_a_train_stage_error(
+        acceptance_corpus, tmp_path, monkeypatch, forks, failing):
+    """The failing part's error surfaces (the main's, when both fail); an
+    error here kills the worker, and this process's BLAS thread count is
+    restored either way."""
+    parent, real = os.getpid(), pipeline.train_deep
+
+    def train_deep(*args, strategy, **kwargs):
+        if failing == "both" or (os.getpid() == parent) == (failing == "main"):
+            raise TrainingError(f"{'+'.join(strategy)} failed in process {os.getpid()}")
+        return real(*args, strategy=strategy, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_deep", train_deep)
+    save_commit_stream(tmp_path / "corpus.jsonl", acceptance_corpus[:300])
+    threads = _blas_threads()
+    with pytest.raises(PipelineError) as info:
+        run_pipeline(RunConfig(corpus=str(tmp_path / "corpus.jsonl"), out=str(tmp_path / "o"),
+                               **TINY))
+    assert info.value.stage == "train"
+    assert isinstance(info.value.cause, TrainingError)
+    expected = (f"none+sc failed in process {forks[0]}" if failing == "worker"
+                else f"tc+amf+gmf failed in process {parent}")
+    assert str(info.value.cause) == expected
+    assert len(forks) == 1
+    with pytest.raises(ProcessLookupError):
+        os.kill(forks[0], 0)
+    _assert_blas_threads(threads)
+    assert list((tmp_path / "o").glob("*.ckpt")) == []
+
+
+def test_a_non_finite_loss_in_the_worker_part_is_exit_three(acceptance_corpus, tmp_path,
+                                                            monkeypatch, forks, capsys):
+    """In a stack of two, the worker trains the commit model alone, and its
+    training error still names the strategy."""
+    real_init = deep_model.init_deep_params
+
+    def init(rng, vocab_size, cfg, strategy, *args):
+        params = real_init(rng, vocab_size, cfg, strategy, *args)
+        return {k: np.full_like(v, np.nan) for k, v in params.items()} if strategy == "none" else params
+
+    monkeypatch.setattr(deep_model, "init_deep_params", init)
+    save_commit_stream(tmp_path / "corpus.jsonl", acceptance_corpus[:300])
+    (tmp_path / "c.json").write_text(json.dumps({
+        "corpus": str(tmp_path / "corpus.jsonl"), "out": str(tmp_path / "o"),
+        "early_strategies": ["sc"], **TINY}))
+    assert main(["evaluate", "--config", str(tmp_path / "c.json")]) == 3
+    assert "non-finite loss at epoch 0 batch 0 (none)" in capsys.readouterr().err
+    assert len(forks) == 1
+    assert list((tmp_path / "o").glob("*.ckpt")) == []
+    _no_child_left()
 
 
 def test_forest_error_in_the_child_is_a_train_stage_error(acceptance_corpus, tmp_path, monkeypatch,
