@@ -215,8 +215,8 @@ def forward_batch(params: nn.Params, cfg: DeepConfig, msg_ids, file_ids, x_cat, 
 
 
 def backward_batch(params: nn.Params, cache, d_logits) -> nn.Params:
-    """Gradients of every parameter; d_logits is one (B, 2) array, or a
-    list with each model's for a stack."""
+    """Gradients of every parameter, the embedding tables' as nn.RowGrad;
+    d_logits is one (B, 2) array, or a list with each model's for a stack."""
     grads = {}
     heads = cache["heads"]
     d_zm, d_zc = [], []
@@ -290,7 +290,7 @@ def train_deep(train_ds: DeepDataset, val_ds: DeepDataset, vocab_size: int,
     A tuple of strategies trains one model per strategy in lockstep, as a
     stack, and returns one (params, log) per strategy. Each model draws its
     initial parameters and its dropout from its own generators and shares
-    the batch order, so it gets the bits a run of its strategy alone would.
+    the batch order. Full-scale bits depend on BLAS threads and on M = 1 or M > 1.
     """
     if len(val_ds) == 0:
         raise TrainingError("validation split is empty")
@@ -332,6 +332,8 @@ def train_deep(train_ds: DeepDataset, val_ds: DeepDataset, vocab_size: int,
             grads = backward_batch(params, cache, [d_logits for _, d_logits in steps])
             nn.adam_step(adam, params, grads)
             losses.append([loss for loss, _ in steps])
+            # this step's arrays go before the next step's are made
+            del probs, cache, steps, grads
         val_scores = score_dataset(params, cfg, val_ds, strategies)
         for m, log in enumerate(logs):
             report = prf1(val_scores[:, m], val_ds.labels)
@@ -341,6 +343,7 @@ def train_deep(train_ds: DeepDataset, val_ds: DeepDataset, vocab_size: int,
             log.append(entry)
             if entry.metric_mean > best_mean[m]:
                 best_mean[m] = entry.metric_mean
+                best_params[m] = None  # the old snapshot goes before the new one is made
                 best_params[m] = model_params(params, count, m)
     trained = list(zip(best_params, logs))
     return trained[0] if isinstance(strategy, str) else trained

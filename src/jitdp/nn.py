@@ -54,12 +54,40 @@ def _scatter_rows(values: np.ndarray, at: np.ndarray, n_rows: int) -> np.ndarray
     """(n_rows, d) sums of the d-vectors of values by their row index in at,
     by one np.bincount over a key array as large as values: bin at * d + c
     accumulates from 0.0 in entry order, as np.add.at on rows would. It
-    sums embedding gradients per token id, the textCNN's window-position
-    sums per token id, and, for vector input, its window entries per
-    position."""
+    sums embedding gradients per token id and, for vector input, the
+    textCNN's window entries per position."""
     dim = values.shape[-1]
     flat = (at.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
     return np.bincount(flat, weights=values.reshape(-1), minlength=n_rows * dim).reshape(n_rows, dim)
+
+
+class RowGrad(NamedTuple):
+    """A gradient zero outside `rows`, ascending, of its parameter's (size // width, width) view."""
+
+    rows: np.ndarray
+    sums: np.ndarray
+
+
+# Columns that one np.bincount of _sum_rows sums: its one key array holds
+# rows x this many entries, not rows x d, and serves every column chunk.
+_ROW_SUM_COLUMNS = 8
+
+
+def _sum_rows(values: np.ndarray, at: np.ndarray, n_rows: int) -> RowGrad:
+    """_scatter_rows(values, at, n_rows) as the RowGrad of the rows at hits, same bits,
+    summed a chunk of columns at a time (np.add.reduceat would sum long runs pairwise)."""
+    hit = np.bincount(at, minlength=n_rows) > 0
+    rows, slot = np.flatnonzero(hit), (np.cumsum(hit) - 1)[at]
+    step, width = min(_ROW_SUM_COLUMNS, values.shape[1]), values.shape[1]
+    keys, sums = (slot[:, None] * step + np.arange(step)).reshape(-1), np.empty((len(rows), width))
+    part = values if step == width else np.empty((len(at), step))
+    # chunks of step columns (the last one ends at the last column, overlapping
+    # the one before: its sums are the same); one chunk is values itself
+    for lo in sorted({*range(0, width - step, step), width - step}):
+        if part is not values:
+            part[...] = values[:, lo : lo + step]
+        sums[:, lo : lo + step] = np.bincount(keys, part.ravel(), len(rows) * step).reshape(-1, step)
+    return RowGrad(rows, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +118,11 @@ def _scatter_rows(values: np.ndarray, at: np.ndarray, n_rows: int) -> np.ndarray
 #
 # Token-id input (B, L) keeps the ids, not embedded vectors, in the cache,
 # and its backward pass returns the gradient of the embedding table itself,
-# summed from the argmax windows alone. A row's real length r is its last
-# non-zero id + 1. Every window past r is all padding and has the same
-# pre-activation, so the first-occurrence argmax never picks one after the
-# first, at r, and no row's maximum needs a window past it. A row's kept
+# summed from the argmax windows alone, as the rows the batch touches (a
+# RowGrad). A row's real length r is its last non-zero id + 1. Every window
+# past r is all padding and has the same pre-activation, so the
+# first-occurrence argmax never picks one after the first, at r, and no
+# row's maximum needs a window past it. A row's kept
 # prefix is min(L, r + widest window, rounded up to 8 tokens), which holds
 # that first all-padding window in whole 8-column tiles of the tap GEMM:
 # OpenBLAS sums an edge tile in another order, which would move last bits
@@ -335,10 +364,10 @@ def textcnn_backward(params: Params, cache, d_z: np.ndarray):
     """Returns (d_input, grads). For vector input d_input is the gradient
     w.r.t. the input vectors, trimmed to the original length, summed per
     position by one np.bincount over the argmax-window entries (bank, m, b,
-    f, j) in order. For token-id input it is the gradient w.r.t. the
-    embedding table: each touched window position gets the same sum,
-    added filter by filter without an entry-sized array, and those sums go
-    to their token ids in position order, the same bits as
+    f, j) in order. For token-id input it is the RowGrad of the embedding
+    table's (V * M, d_in) view: each touched window position gets the same
+    sum, added filter by filter without an entry-sized array, and those
+    sums go to their token ids in position order, the same bits as
     embedding_backward of the dense gradient w.r.t. the embedded tokens."""
     x, ids, table = cache["x"], cache["ids"], cache["embedding"]
     prefix, banks, models = cache["prefix"], cache["banks"], cache["models"]
@@ -411,12 +440,12 @@ def textcnn_backward(params: Params, cache, d_z: np.ndarray):
                 step += d_pre[:, :, f, None, None] * w_m[:, :, f]
                 whole_rows[at] = step.view(whole_rows.dtype)[..., 0]
         position, model = np.divmod(touched, models)
-        d_table = _scatter_rows(d_windows, ids.reshape(-1)[position] * models + model,
-                                len(table) * models)
-        return d_table.reshape(table.shape), grads
+        return _sum_rows(d_windows, ids.reshape(-1)[position] * models + model,
+                         len(table) * models), grads
     d_x = _scatter_rows(values, keys, batch * length * models).reshape(x.shape)[:, : cache["orig_len"]]
     if ids is not None:
-        return _scatter_rows(d_x, ids, len(table)), grads
+        at = (ids[..., None] * models + np.arange(models)).reshape(-1)
+        return _sum_rows(d_x.reshape(-1, d_in), at, len(table) * models), grads
     return d_x, grads
 
 
@@ -541,6 +570,15 @@ def _views(flat: np.ndarray, names, shapes) -> dict:
     return views
 
 
+def _write_rows(out: np.ndarray, grad: RowGrad, first: int) -> np.ndarray:
+    """out, whole rows of a parameter from row `first` on, zeroed but for grad's rows."""
+    block = out.reshape(-1, grad.sums.shape[1])
+    block[...] = 0.0
+    lo, hi = np.searchsorted(grad.rows, (first, first + len(block)))
+    block[grad.rows[lo:hi] - first] = grad.sums[lo:hi]
+    return out
+
+
 def adam_step(state: AdamState, params: Params, grads: Params) -> None:
     """Standard bias-corrected Adam update, in place:
     m += (1 - beta1) * (g - m); v += (1 - beta2) * (g * g - v);
@@ -548,14 +586,22 @@ def adam_step(state: AdamState, params: Params, grads: Params) -> None:
     in that operation order, over each group's flat vectors in blocks of
     _ADAM_BLOCK floats through the work rows.
 
-    Every parameter with a gradient is updated; later steps must pass
-    gradients for the same names and shapes as the first, and params must
-    still hold the views the first step bound. The whole step is checked
-    before anything changes, so a rejected step leaves the state and the
-    parameters as they were.
+    Every parameter with a gradient, an array or a RowGrad, is updated in
+    every row; later steps must pass gradients for the same names and
+    shapes as the first, and params must still hold the views the first
+    step bound. The whole step, row ids included, is checked before
+    anything changes, so a rejected step leaves everything as it was.
     """
     names = tuple(filter(grads.__contains__, params))
-    shapes = [grads[n].shape for n in names]
+    rowed = [n for n in names if isinstance(grads[n], RowGrad)]
+    for name in rowed:
+        (rows, sums), size = grads[name], params[name].size
+        width = sums.shape[-1] if sums.ndim == 2 else 0
+        if not (0 < width <= _ADAM_BLOCK and size % width == 0 and rows.shape == sums.shape[:1]
+                and rows.dtype.kind in "iu" and (rows[1:] > rows[:-1]).all()
+                and (len(rows) == 0 or 0 <= rows[0] and rows[-1] < size // width)):
+            raise ValueError(f"malformed row gradient for '{name}' of shape {params[name].shape}")
+    shapes = [params[n].shape if n in rowed else grads[n].shape for n in names]
     if not (state.groups and names == state.names and shapes == state.shapes
             and all(map(operator.is_, map(params.__getitem__, names), state.bound))):
         for name, shape in zip(names, shapes):
@@ -578,14 +624,20 @@ def adam_step(state: AdamState, params: Params, grads: Params) -> None:
         work = np.empty((3, min(_ADAM_BLOCK, sum(size for _, size in packing))))
 
     def gradient(group, size):
+        # the group's flat gradient; None for a lone RowGrad, written block by block
         if len(group) == 1:
-            return grads[group[0]].reshape(-1)
-        return np.concatenate([grads[n] for n in group], axis=None, out=work[2, :size])
+            return None if group[0] in rowed else grads[group[0]].reshape(-1)
+        out = np.concatenate([np.zeros(params[n].shape) if n in rowed else grads[n] for n in group],
+                             axis=None, out=work[2, :size])
+        for n in set(rowed).intersection(group):  # zeros so far; its rows go in
+            at, (rows, sums) = sum(params[k].size for k in group[: group.index(n)]), grads[n]
+            out[at : at + params[n].size].reshape(-1, sums.shape[1])[rows] = sums
+        return out
 
     for group, size in packing:
         checked = gradient(group, size)
-        if not np.isfinite(checked).all():
-            bad = next(n for n in group if not np.isfinite(grads[n]).all())
+        if not np.isfinite(grads[group[0]].sums if checked is None else checked).all():
+            bad = next(n for n in group if not np.isfinite(getattr(grads[n], "sums", grads[n])).all())
             raise FloatingPointError(f"non-finite gradient for '{bad}'")
 
     if not state.groups:
@@ -604,9 +656,13 @@ def adam_step(state: AdamState, params: Params, grads: Params) -> None:
     for group, p_all, m_all, v_all in state.groups:
         # a lone group's gradient is still the one just checked
         g_all = checked if len(state.groups) == 1 else gradient(group, len(p_all))
-        for lo in range(0, len(p_all), _ADAM_BLOCK):
-            hi = lo + _ADAM_BLOCK
-            g, p, m, v = g_all[lo:hi], p_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
+        width = 1 if g_all is not None else grads[group[0]].sums.shape[1]
+        span = _ADAM_BLOCK // width * width
+        for lo in range(0, len(p_all), span):
+            hi = lo + span
+            p, m, v = p_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
+            g = (g_all[lo:hi] if g_all is not None
+                 else _write_rows(work[2, : len(p)], grads[group[0]], lo // width))
             step, denom = work[0, : len(g)], work[1, : len(g)]
             np.subtract(g, m, out=step)
             step *= 1 - state.beta1

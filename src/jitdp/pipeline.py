@@ -1,7 +1,8 @@
 """End-to-end experiment orchestration: feature extraction, vocabulary,
 model training, the fusion sweep, evaluation reports, and the large-commit
-drop experiment. Every artifact is a pure function of (config, seed,
-corpus), so re-running a config reproduces byte-identical files.
+drop experiment. Re-running a config on the same corpus file writes the
+same bytes, worker or not; they depend on the corpus path (config_hash),
+and at full-scale widths on BLAS threads and stack layout (train_deep).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pickle
 import signal
 import sys
 import warnings
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -398,20 +399,20 @@ def _run_once(ordered, features, config: RunConfig, out: Path, until: str, rows,
 
     def _train_models():
         """The forest, and the deep stack: the commit model, then one
-        early-fused model per strategy. A worker fits the forest and then
-        trains the first half of the stack while this process trains the
-        rest, each on one BLAS thread so that neither takes the other's
-        core; for a stack of one, the worker fits only the forest and no
-        thread count is held. Without a worker the whole stack trains in one
-        call, which is quicker in one process."""
+        early-fused model per strategy. From four models on, a worker fits
+        the forest and trains the first half of the stack while this process
+        trains the rest; below that the worker fits only the forest. Deep
+        training holds one BLAS thread, so that neither process takes the
+        other's core and no sum depends on where a model trains. Without a
+        worker the whole stack trains in one call, quicker in one process."""
         row_of = {ordered[j].commit_id: j for j in train}
         labels = {i: ordered[j].label for i, j in row_of.items()}
         balanced = sorted(undersample(row_of, labels, config.seed))
-        # train_deep gives each model the bits it gets alone, so the cut
-        # changes no artifact.
+        # At full-scale widths a lone model's heads sum in another order
+        # than a stacked model's, so the cut keeps each part at two models
+        # or more (the M = 1 versus M > 1 layout in the README).
         stack = ("none", *config.early_strategies)
-        half = len(stack) // 2
-        held = _one_blas_thread if half else nullcontext
+        half = len(stack) // 2 if len(stack) >= 4 else 0
 
         def forest():
             return train_forest(x_all[[row_of[i] for i in balanced]],
@@ -419,18 +420,13 @@ def _run_once(ordered, features, config: RunConfig, out: Path, until: str, rows,
                                 ForestConfig(n_trees=config.forest_trees), seed=config.seed)
 
         def deep(part):
-            return train_deep(train_ds, val_ds, len(vocab), deep_cfg, seed=config.seed,
-                              strategy=part)
+            with _one_blas_thread():
+                return train_deep(train_ds, val_ds, len(vocab), deep_cfg, seed=config.seed,
+                                  strategy=part)
 
-        def first():
-            with held():
-                return forest(), deep(stack[:half]) if half else []
-
-        def rest():
-            with held():
-                return deep(stack[half:])
-
-        (sim, trained), more = _beside(first, rest, alone=lambda: ((forest(), []), deep(stack)))
+        (sim, trained), more = _beside(lambda: (forest(), deep(stack[:half]) if half else []),
+                                       lambda: deep(stack[half:]),
+                                       alone=lambda: ((forest(), []), deep(stack)))
         trained += more
         save_forest(out / "sim_forest.ckpt", sim)
         names = ["com"] + [f"fused_{s}" for s in config.early_strategies]

@@ -15,12 +15,23 @@ from hypothesis.extra import numpy as hnp
 from jitdp import nn
 
 
+def dense(grad, shape) -> np.ndarray:
+    """A gradient as an array of its parameter's shape: an nn.RowGrad is
+    zero outside its rows."""
+    if not isinstance(grad, nn.RowGrad):
+        return grad
+    out = np.zeros((math.prod(shape) // grad.sums.shape[1], grad.sums.shape[1]))
+    out[grad.rows] = grad.sums
+    return out.reshape(shape)
+
+
 def finite_diff_check(loss_and_grads, params) -> float:
     """Compare analytic gradients against central differences.
 
     loss_and_grads() evaluates the model at the current params and returns
     (scalar loss, grads dict). Probes every coordinate of every parameter
-    that has a gradient, and returns the max relative error
+    that has a gradient (densified, if an nn.RowGrad), and returns the max
+    relative error
     |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
     eps = 1e-5
@@ -32,7 +43,7 @@ def finite_diff_check(loss_and_grads, params) -> float:
         if name not in grads:
             continue
         flat = params[name].reshape(-1)
-        analytic = grads[name].reshape(-1)
+        analytic = dense(grads[name], params[name].shape).reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
@@ -196,6 +207,7 @@ class TestTextCnnBackward:
         d_input, grads = nn.textcnn_backward(params, cache, d_z)
         d_x_ref, grads_ref = scalar_loop_textcnn_backward(params, "t", x, d_z)
         if case == "ids":
+            d_input = dense(d_input, emb.shape)
             # token-id input returns the gradient of the table: the oracle's
             # input gradient folded onto the ids
             emb_ref = np.zeros_like(emb)
@@ -248,7 +260,7 @@ def _id_path_against_vectors(ids, block, params, emb, d_z_seed=0):
     d_z = np.random.default_rng(d_z_seed).normal(size=z.shape)
     d_table, grads = nn.textcnn_backward(params, cache, d_z)
     d_x, grads_ref = nn.textcnn_backward(params, cache_ref, d_z)
-    assert np.array_equal(d_table, nn.embedding_backward(d_x, ids, len(emb)))
+    assert np.array_equal(dense(d_table, emb.shape), nn.embedding_backward(d_x, ids, len(emb)))
     assert sorted(grads) == sorted(grads_ref)
     for name in grads:
         assert np.array_equal(grads[name], grads_ref[name]), name
@@ -604,6 +616,76 @@ class TestAdam:
             nn.adam_step(state, {"w": np.zeros(2)}, {"w": np.array([1.0, np.nan])})
 
 
+def _row_grad(rng, n_rows, width, touched):
+    """An nn.RowGrad of `touched` distinct rows of n_rows, ascending, with
+    exact zeros and negative zeros among its sums."""
+    rows = np.sort(rng.choice(n_rows, size=touched, replace=False))
+    sums = rng.normal(size=(touched, width))
+    sums[rng.random(sums.shape) < 0.1] = 0.0
+    sums[rng.random(sums.shape) < 0.05] = -0.0
+    return nn.RowGrad(rows, sums)
+
+
+class TestAdamRowGrad:
+    """A row gradient is its dense form to Adam, bit for bit, and a
+    malformed one is rejected before anything changes."""
+
+    def test_row_steps_equal_dense_steps_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        # "wide" has rows of 40 floats, as a five-model desk table, which do
+        # not divide _ADAM_BLOCK: it spans five blocks of 1,638 rows;
+        # "table" is three models' rows of 8; "small" is packed with "b"
+        # and "w". Steps touch a third of the rows, then 5, 1 and none, so
+        # most rows of the second step are touched never again.
+        shapes = {"wide": (6600, 40), "table": (3000, 24), "b": (7,), "small": (30, 8), "w": (3, 2, 4)}
+        widths = {"wide": 40, "table": 8, "small": 8}
+        by_rows = {n: rng.normal(size=s) for n, s in shapes.items()}
+        by_dense = {n: p.copy() for n, p in by_rows.items()}
+        rows_state, dense_state = nn.AdamState(lr=0.01), nn.AdamState(lr=0.01)
+        for touched in ("third", 5, 1, 0):
+            grads = {"b": rng.normal(size=7), "w": rng.normal(size=(3, 2, 4))}
+            for name, width in widths.items():
+                n_rows = math.prod(shapes[name]) // width
+                grads[name] = _row_grad(rng, n_rows, width, n_rows // 3 if touched == "third" else touched)
+            nn.adam_step(rows_state, by_rows, grads)
+            nn.adam_step(dense_state, by_dense, {n: dense(g, shapes[n]) for n, g in grads.items()})
+        assert [group[0] for group in rows_state.groups] == [["wide"], ["table"], ["b", "small", "w"]]
+        for n in shapes:
+            for got, want in ((by_rows[n], by_dense[n]), (rows_state.m[n], dense_state.m[n]),
+                              (rows_state.v[n], dense_state.v[n])):
+                assert got.tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize("steps_before", [0, 2])
+    @pytest.mark.parametrize("bad, error, match", [
+        (nn.RowGrad(np.array([1, 12]), np.ones((2, 4))), ValueError, "'t'"),  # row 12 of 12
+        (nn.RowGrad(np.array([-1, 3]), np.ones((2, 4))), ValueError, "'t'"),
+        (nn.RowGrad(np.array([3, 1]), np.ones((2, 4))), ValueError, "'t'"),
+        (nn.RowGrad(np.array([1, 3]), np.ones((2, 5))), ValueError, "'t'"),  # 5 does not tile 48
+        (nn.RowGrad(np.array([1, 3]), np.ones((3, 4))), ValueError, "'t'"),
+        (nn.RowGrad(np.array([1, 3]), np.array([[1.0, 2, 3, 4], [0, np.nan, 0, 0]])),
+         FloatingPointError, "'t'"),
+    ])
+    @pytest.mark.parametrize("packed", [True, False])
+    def test_malformed_row_gradient_changes_nothing(self, steps_before, bad, error, match, packed,
+                                                    monkeypatch):
+        if not packed:
+            monkeypatch.setattr(nn, "_ADAM_BLOCK", 16)  # "t" is a group of its own
+        rng = np.random.default_rng(43)
+        params = {"t": rng.normal(size=(6, 8)), "b": rng.normal(size=3)}
+        state = nn.AdamState(lr=0.1)
+        for _ in range(steps_before):
+            nn.adam_step(state, params, {"t": _row_grad(rng, 12, 4, 3), "b": rng.normal(size=3)})
+        before = {n: p.copy() for n, p in params.items()}
+        m, v = ({n: a.copy() for n, a in d.items()} for d in (state.m, state.v))
+        with pytest.raises(error, match=match):
+            nn.adam_step(state, params, {"t": bad, "b": np.ones(3)})
+        assert state.t == steps_before
+        for n in params:
+            assert np.array_equal(params[n], before[n])
+        for n in m:
+            assert np.array_equal(state.m[n], m[n]) and np.array_equal(state.v[n], v[n])
+
+
 class TestFiniteDiffCheck:
     def test_linear_model_near_exact(self):
         rng = np.random.default_rng(7)
@@ -737,7 +819,8 @@ def model_stacks(draw):
 def _textcnn_pass(params, x, table, d_z, block):
     with mock.patch.object(nn, "_TEXTCNN_BLOCK", block):
         z, cache = nn.textcnn_forward(params, "t", x, embedding=table)
-    return z, *nn.textcnn_backward(params, cache, d_z)
+    d_input, grads = nn.textcnn_backward(params, cache, d_z)
+    return z, d_input if table is None else dense(d_input, table.shape), grads
 
 
 class TestTextCnnChannelBlocks:
@@ -848,6 +931,9 @@ def _check_against_entry_order(params, x, table, d_z, block=nn._TEXTCNN_BLOCK):
         _, cache = nn.textcnn_forward(params, "t", x, embedding=table)
     d_input, grads = nn.textcnn_backward(params, cache, d_z)
     d_ref, grads_ref = entry_order_textcnn_backward(params, cache, d_z)
+    if table is not None:
+        assert (np.diff(d_input.rows) > 0).all()
+        d_input = dense(d_input, table.shape)
     _assert_same_bits(d_input, d_ref)
     assert sorted(grads) == sorted(grads_ref) == sorted(n for n in params if n.startswith("t."))
     for name in grads:
@@ -890,6 +976,31 @@ def entry_order_cases(draw):
     return params, x, None if vectors else table, d_z, draw(st.sampled_from([1, 150, 1 << 20]))
 
 
+@st.composite
+def row_gradient_cases(draw):
+    """Token ids of a 6-token vocabulary, so that ids repeat, with padding
+    tails and all-padding rows, some shorter than the widest window; M in
+    {1, 3} stacked models whose width d_in is not a multiple of the
+    column chunk of the table gradient's sums, or is one."""
+    models = draw(st.sampled_from([1, 3]))
+    chunk = nn._ROW_SUM_COLUMNS
+    d_in = draw(st.sampled_from([1, chunk - 3, chunk, chunk + 3, 2 * chunk + 5]))
+    length = draw(st.sampled_from([2, 3, 9, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    stack = [nn.textcnn_init(rng, "t", d_in, (1, 2, 3), 5) for _ in range(models)]
+    params = {n: np.concatenate([p[n] for p in stack], axis=-1) for n in stack[0]}
+    for n in params:
+        if ".b" in n:
+            params[n] = rng.normal(scale=0.3, size=params[n].shape)
+    ids = np.zeros((draw(st.integers(1, 6)), length), dtype=np.int64)
+    for r in range(len(ids)):
+        real = draw(st.integers(0, length))
+        ids[r, :real] = rng.integers(1, 6, size=real)
+    d_z = rng.normal(size=(len(ids), models * 5))
+    d_z[rng.random(d_z.shape) < 0.3] = 0.0
+    return params, ids, rng.normal(size=(6, models * d_in)), d_z
+
+
 class TestTextCnnEntryOrder:
     """textcnn_backward adds each window position's terms in the order one
     np.bincount over every argmax-window entry adds them, so its gradients
@@ -898,6 +1009,11 @@ class TestTextCnnEntryOrder:
     @settings(max_examples=200, deadline=None)
     @given(case=entry_order_cases())
     def test_matches_entry_order_oracle(self, case):
+        _check_against_entry_order(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=row_gradient_cases())
+    def test_row_gradient_densifies_to_the_oracles_table_gradient(self, case):
         _check_against_entry_order(*case)
 
     @pytest.mark.parametrize("path", ["ids", "vectors"])

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from jitdp import deep_model, fusion, pipeline
 from jitdp.cli import main
-from jitdp.corpus import DataError, save_commit_stream, sort_chronologically
+from jitdp.corpus import (DataError, SyntheticSpec, save_commit_stream, sort_chronologically,
+                          synthesize_corpus)
 from jitdp.deep_model import TrainingError
 from jitdp.features import featurize_corpus, normalize_features
 from jitdp.pipeline import PipelineError, RunConfig, load_bundle, predict_commits, run_pipeline
@@ -225,41 +226,72 @@ def _record_training(monkeypatch, log):
     return lambda: [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
 
 
-@pytest.mark.parametrize("in_process", ["one_cpu", "failed_fork"])
-@pytest.mark.parametrize("early", [(), ("sc",), RunConfig.early_strategies],
-                         ids=["stack_of_1", "stack_of_2", "stack_of_5"])
-def test_evaluate_writes_the_same_artifacts_with_and_without_the_worker(
-        acceptance_corpus, tmp_path, monkeypatch, forks, early, in_process):
-    """The worker fits the forest and trains the first half of the deep
-    stack, this process the rest, each on one BLAS thread while both train;
-    in process the whole stack trains in one call. Either way the bytes are
-    the same."""
-    save_commit_stream(tmp_path / "corpus.jsonl", acceptance_corpus[:300])
-    config = RunConfig(corpus=str(tmp_path / "corpus.jsonl"), early_strategies=early, **TINY)
-    stack = ["none", *early]
-    half = len(stack) // 2
-    trained = _record_training(monkeypatch, tmp_path / "trained.jsonl")
-    threads = _blas_threads()
-    held = 1 if half and threads is not None else threads
+def _evaluate_with_and_without_the_worker(config, tmp_path, monkeypatch, in_process):
+    """The artifacts of run_pipeline with the worker, and in process (one
+    CPU or a failed fork)."""
     run_pipeline(replace(config, out=str(tmp_path / "worker")))
-    assert len(forks) == 1
-    parts = [[forks[0], stack[:half], held]] if half else []
-    parts.append([os.getpid(), stack[half:], held])
-    assert sorted(trained()) == sorted(parts)
-    _assert_blas_threads(threads)
     with monkeypatch.context() as alone:
         if in_process == "one_cpu":
             alone.setattr(pipeline, "_workers_available", lambda: False)
         else:
             alone.setattr(os, "fork", _no_fork)
         run_pipeline(replace(config, out=str(tmp_path / "here")))
-    assert len(forks) == 1
-    assert trained()[len(parts):] == [[os.getpid(), stack, threads]]
-    worker, here = _artifacts(tmp_path / "worker"), _artifacts(tmp_path / "here")
+    return _artifacts(tmp_path / "worker"), _artifacts(tmp_path / "here")
+
+
+def _assert_same_artifacts(worker, here):
     assert sorted(worker[0]) == sorted(here[0])
     for name, blob in worker[0].items():
         assert blob == here[0][name], name
     assert worker[1] == here[1]
+
+
+@pytest.mark.parametrize("in_process", ["one_cpu", "failed_fork"])
+@pytest.mark.parametrize("early", [(), ("sc",), ("sc", "tc", "amf"), RunConfig.early_strategies],
+                         ids=["stack_of_1", "stack_of_2", "stack_of_4", "stack_of_5"])
+def test_evaluate_writes_the_same_artifacts_with_and_without_the_worker(
+        acceptance_corpus, tmp_path, monkeypatch, forks, early, in_process):
+    """From four models on, the worker fits the forest and trains the first
+    half of the deep stack, this process the rest; below that the worker
+    fits only the forest. In process the whole stack trains in one call.
+    Every deep training holds one BLAS thread. Either way the bytes are the
+    same."""
+    save_commit_stream(tmp_path / "corpus.jsonl", acceptance_corpus[:300])
+    config = RunConfig(corpus=str(tmp_path / "corpus.jsonl"), early_strategies=early, **TINY)
+    stack = ["none", *early]
+    half = len(stack) // 2 if len(stack) >= 4 else 0
+    trained = _record_training(monkeypatch, tmp_path / "trained.jsonl")
+    threads = _blas_threads()
+    held = None if threads is None else 1
+    worker, here = _evaluate_with_and_without_the_worker(config, tmp_path, monkeypatch, in_process)
+    assert len(forks) == 1
+    parts = [[forks[0], stack[:half], held]] if half else []
+    parts.append([os.getpid(), stack[half:], held])
+    assert sorted(trained()[: len(parts)]) == sorted(parts)
+    assert trained()[len(parts):] == [[os.getpid(), stack, held]]
+    _assert_blas_threads(threads)
+    _assert_same_artifacts(worker, here)
+
+
+# Full-scale widths (DeepConfig and TextShape defaults) for one epoch.
+FULL_SCALE = dict(l_msg=64, l_code=256, files=8, embed_dim=64, filters=64, hidden=512, lr=5e-5,
+                  batch_size=64, dropout=0.5, epochs=1, forest_trees=10, seed=0)
+
+
+@pytest.mark.parametrize("in_process", ["one_cpu", "failed_fork"])
+@pytest.mark.parametrize("early", [("gmf",), RunConfig.early_strategies],
+                         ids=["stack_of_2", "stack_of_5"])
+def test_full_scale_artifacts_do_not_depend_on_the_process_layout(tmp_path, monkeypatch, forks,
+                                                                  early, in_process):
+    """At full-scale widths a sum can depend on the BLAS thread count and on
+    whether a model trains alone or stacked; neither may depend on whether
+    the worker forked. A two-model stack trains in one process either way,
+    and a failed fork on two CPUs still trains on one BLAS thread."""
+    save_commit_stream(tmp_path / "corpus.jsonl", synthesize_corpus(SyntheticSpec(size=300, seed=3)))
+    config = RunConfig(corpus=str(tmp_path / "corpus.jsonl"), early_strategies=early, **FULL_SCALE)
+    _assert_same_artifacts(*_evaluate_with_and_without_the_worker(config, tmp_path, monkeypatch,
+                                                                  in_process))
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("failing", ["worker", "main", "both"])
@@ -295,8 +327,8 @@ def test_a_training_error_in_either_part_is_a_train_stage_error(
 
 def test_a_non_finite_loss_in_the_worker_part_is_exit_three(acceptance_corpus, tmp_path,
                                                             monkeypatch, forks, capsys):
-    """In a stack of two, the worker trains the commit model alone, and its
-    training error still names the strategy."""
+    """In a stack of four, the worker trains the commit model and sc, and
+    its training error names the strategy."""
     real_init = deep_model.init_deep_params
 
     def init(rng, vocab_size, cfg, strategy, *args):
@@ -307,7 +339,7 @@ def test_a_non_finite_loss_in_the_worker_part_is_exit_three(acceptance_corpus, t
     save_commit_stream(tmp_path / "corpus.jsonl", acceptance_corpus[:300])
     (tmp_path / "c.json").write_text(json.dumps({
         "corpus": str(tmp_path / "corpus.jsonl"), "out": str(tmp_path / "o"),
-        "early_strategies": ["sc"], **TINY}))
+        "early_strategies": ["sc", "tc", "amf"], **TINY}))
     assert main(["evaluate", "--config", str(tmp_path / "c.json")]) == 3
     assert "non-finite loss at epoch 0 batch 0 (none)" in capsys.readouterr().err
     assert len(forks) == 1
