@@ -7,6 +7,13 @@ epoch, strictly within +-2**62), author (str), message (str), files (list
 of {path, added_lines, removed_lines, loc_before}), and an optional label
 (0 or 1). Unknown keys are ignored.
 
+In memory a FileChange holds each side's lines as one str, the lines
+joined by "\n", plus the line count: the hand-crafted features read the
+counts and the change documents tokenize the text, and no line is held
+as a str of its own. Only a side with a line that itself holds "\n" keeps
+its lines too. The on-disk form is unchanged: commit_to_json writes each
+side back as the array of lines it was read from.
+
 All randomized operations take an explicit seed and reproduce bit-identical
 output for equal seeds.
 """
@@ -24,15 +31,58 @@ class DataError(Exception):
     """Malformed or inconsistent corpus input."""
 
 
-@dataclass(frozen=True)
+def _side(lines) -> tuple[str, int, tuple[str, ...] | None]:
+    """One side of a file change as held: its lines joined by "\n", their
+    count and, only when a line itself holds "\n" (so the text does not
+    give the lines back), the lines."""
+    text = "\n".join(lines)
+    count = len(lines)
+    return text, count, tuple(lines) if count and text.count("\n") != count - 1 else None
+
+
+def _lines(text: str, count: int, kept) -> tuple[str, ...]:
+    if kept is not None:
+        return kept
+    return tuple(text.split("\n")) if count else ()
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class FileChange:
+    """One file's change. Each side, added and removed, is held as its lines
+    joined by "\n" (one str) plus the line count, the two things the models
+    read; `added_lines` and `removed_lines` give the lines back."""
+
     path: str
-    added_lines: tuple[str, ...] = ()
-    removed_lines: tuple[str, ...] = ()
-    loc_before: int = 0
+    added_text: str
+    added_count: int
+    _added_kept: tuple[str, ...] | None
+    removed_text: str
+    removed_count: int
+    _removed_kept: tuple[str, ...] | None
+    loc_before: int
+
+    def __init__(self, path: str, added_lines=(), removed_lines=(), loc_before: int = 0):
+        set_ = object.__setattr__
+        set_(self, "path", path)
+        added, removed = _side(added_lines), _side(removed_lines)
+        set_(self, "added_text", added[0])
+        set_(self, "added_count", added[1])
+        set_(self, "_added_kept", added[2])
+        set_(self, "removed_text", removed[0])
+        set_(self, "removed_count", removed[1])
+        set_(self, "_removed_kept", removed[2])
+        set_(self, "loc_before", loc_before)
+
+    @property
+    def added_lines(self) -> tuple[str, ...]:
+        return _lines(self.added_text, self.added_count, self._added_kept)
+
+    @property
+    def removed_lines(self) -> tuple[str, ...]:
+        return _lines(self.removed_text, self.removed_count, self._removed_kept)
 
     def modified_line_count(self) -> int:
-        return len(self.added_lines) + len(self.removed_lines)
+        return self.added_count + self.removed_count
 
 
 @dataclass(frozen=True)
@@ -74,21 +124,18 @@ def _parse_file_entry(obj, line_no: int, idx: int) -> FileChange:
             raise DataError(f"line {line_no}: files[{idx}] missing field '{key}'")
     if not isinstance(obj["path"], str):
         raise DataError(f"line {line_no}: files[{idx}] field 'path' must be a string")
-    added = obj["added_lines"]
-    removed = obj["removed_lines"]
-    if not isinstance(added, list) or not all(map(isinstance, added, repeat(str))):
-        raise DataError(f"line {line_no}: files[{idx}] field 'added_lines' must be an array of strings")
-    if not isinstance(removed, list) or not all(map(isinstance, removed, repeat(str))):
-        raise DataError(f"line {line_no}: files[{idx}] field 'removed_lines' must be an array of strings")
     loc_before = obj["loc_before"]
+    try:
+        change = FileChange(obj["path"], obj["added_lines"], obj["removed_lines"], loc_before)
+    except TypeError:  # joining a line that is not a string; named below
+        change = None
+    for key in ("added_lines", "removed_lines"):
+        lines = obj[key]
+        if not isinstance(lines, list) or (change is None and not all(map(isinstance, lines, repeat(str)))):
+            raise DataError(f"line {line_no}: files[{idx}] field '{key}' must be an array of strings")
     if type(loc_before) is not int or loc_before < 0:
         raise DataError(f"line {line_no}: files[{idx}] field 'loc_before' must be a non-negative integer")
-    return FileChange(
-        path=obj["path"],
-        added_lines=tuple(added),
-        removed_lines=tuple(removed),
-        loc_before=loc_before,
-    )
+    return change
 
 
 def parse_commit_line(line: str, line_no: int) -> CommitRecord:
@@ -163,8 +210,8 @@ def commit_to_json(rec: CommitRecord) -> str:
         "files": [
             {
                 "path": f.path,
-                "added_lines": list(f.added_lines),
-                "removed_lines": list(f.removed_lines),
+                "added_lines": f.added_lines,
+                "removed_lines": f.removed_lines,
                 "loc_before": f.loc_before,
             }
             for f in rec.files

@@ -208,7 +208,7 @@ def _featurize(commits, history: HistoryIndex) -> np.ndarray:
         la = ld = loc = 0
         counts = []
         for f in files:
-            added, removed = len(f.added_lines), len(f.removed_lines)
+            added, removed = f.added_count, f.removed_count
             la += added
             ld += removed
             loc += f.loc_before

@@ -50,9 +50,9 @@ def render_change_document(file: FileChange) -> list[str]:
     """One token sequence per file: the added header, all added lines in
     order, the removed header, all removed lines in order."""
     doc = [ADDED_HEADER]
-    doc += tokenize("\n".join(file.added_lines))
+    doc += tokenize(file.added_text)
     doc.append(REMOVED_HEADER)
-    doc += tokenize("\n".join(file.removed_lines))
+    doc += tokenize(file.removed_text)
     return doc
 
 

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jitdp.corpus import (
@@ -115,6 +115,25 @@ class TestLoadStream:
         path.write_text(json.dumps(obj) + "\n")
         with pytest.raises(DataError, match=r"line 1: files\[1\] field 'path' must be a string"):
             load_commit_stream(path)
+
+    @pytest.mark.parametrize("side", ["added_lines", "removed_lines"])
+    @pytest.mark.parametrize("value", [None, 7, "xy", {"a": "b"}, ["x", 7], [None], [["x"]], ["x", "y", True]])
+    def test_side_that_is_not_an_array_of_strings_rejected(self, tmp_path, side, value):
+        obj = json.loads(_minimal_line("c0"))
+        obj["files"].append(dict(obj["files"][0], **{side: value}))
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(DataError, match=rf"^line 1: files\[1\] field '{side}' must be an array of strings$"):
+            load_commit_stream(path)
+
+    def test_bad_added_side_is_named_before_bad_removed_side_and_loc_before(self, tmp_path):
+        obj = json.loads(_minimal_line("c0"))
+        obj["files"][0].update(added_lines=[1], removed_lines="x", loc_before=-1)
+        with pytest.raises(DataError, match=r"field 'added_lines' must be an array of strings"):
+            parse_commit_line(json.dumps(obj), 1)
+        obj["files"][0]["added_lines"] = []
+        with pytest.raises(DataError, match=r"field 'removed_lines' must be an array of strings"):
+            parse_commit_line(json.dumps(obj), 1)
 
     @pytest.mark.parametrize("cid", ["a,b", "a\rb", "a\nb", ",", "\n"])
     def test_commit_id_that_breaks_a_csv_line_rejected(self, tmp_path, cid):
@@ -388,13 +407,83 @@ def commit_records(draw):
                         draw(_STRINGS), files, draw(st.sampled_from((None, 0, 1))))
 
 
+def _one_file_commit(added, removed):
+    return CommitRecord("c", 0, "a", "m", (FileChange("p", added, removed, 1),))
+
+
 class TestCommitJsonRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(record=commit_records())
+    @example(record=_one_file_commit(("a\nb", "c"), ("\n",)))  # lines that hold "\n"
+    @example(record=_one_file_commit(("",), ()))  # ("",) and () join to one text
+    @example(record=_one_file_commit((), ("", "")))
+    @example(record=_one_file_commit(("x\r", "\r\n"), ("\r",)))
+    @example(record=_one_file_commit(("naïve = größe;", "\u2028\x85"), ("日本語",)))
     def test_parse_of_serialized_commit_is_the_commit(self, record):
         line = commit_to_json(record)
         assert "\n" not in line
         assert parse_commit_line(line, 1) == record
+
+
+# Lines with "\n", "\r", other line breaks, empty lines and non-ASCII text.
+_LINES = st.lists(st.one_of(st.text(max_size=12), st.text(alphabet="ab \n\r\x85\u2028é", max_size=4)),
+                  max_size=5).map(tuple)
+
+
+class TestFileChangeAgainstLineTuples:
+    """A FileChange holds each side as joined text plus a count; everything
+    read from it equals what the line tuples themselves give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(added=_LINES, removed=_LINES)
+    @example(added=("",), removed=())
+    @example(added=("a\nb",), removed=("a", "b"))
+    def test_reads_equal_the_line_tuple_formulation(self, added, removed):
+        from jitdp.features import featurize_corpus
+        from jitdp.textprep import ADDED_HEADER, REMOVED_HEADER, render_change_document, tokenize
+
+        file = FileChange("p", added, removed, 2)
+        assert type(file.added_lines) is tuple and file.added_lines == added
+        assert type(file.removed_lines) is tuple and file.removed_lines == removed
+        assert file.modified_line_count() == len(added) + len(removed)
+        assert render_change_document(file) == [ADDED_HEADER, *tokenize("\n".join(added)),
+                                                REMOVED_HEADER, *tokenize("\n".join(removed))]
+        vec = featurize_corpus([CommitRecord("c", 0, "a", "m", (file,))])["c"]
+        assert (vec.la, vec.ld) == (len(added), len(removed))
+        assert FileChange("p", list(added), list(removed), 2) == file
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.tuples(_LINES, _LINES), b=st.tuples(_LINES, _LINES))
+    @example(a=(("",), ()), b=((), ()))
+    @example(a=(("a\nb",), ()), b=(("a", "b"), ()))
+    @example(a=(("a\n", "b"), ()), b=(("a", "\nb"), ()))
+    def test_equal_exactly_when_the_lines_are(self, a, b):
+        fa, fb = FileChange("p", *a), FileChange("p", *b)
+        assert (fa == fb) == (a == b)
+        if a == b:
+            assert hash(fa) == hash(fb)
+
+
+class TestLoadedStreamMemory:
+    def test_live_bytes_per_modified_line(self, tmp_path):
+        """A loaded line costs its characters, not a str object of its own:
+        about 45 B per line here, against about 95 B when each line was
+        held as a str in a tuple."""
+        import tracemalloc
+
+        corpus = synthesize_corpus(SyntheticSpec(size=2000, seed=0))
+        path = tmp_path / "synth.jsonl"
+        save_commit_stream(path, corpus)
+        lines = sum(c.size() for c in corpus)
+        del corpus
+        tracemalloc.start()
+        try:
+            loaded = load_commit_stream(path)
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 2000
+        assert live / lines < 64
 
 
 def _writer_cell(value) -> str:
