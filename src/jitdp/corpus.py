@@ -7,6 +7,9 @@ epoch, strictly within +-2**62), author (str), message (str), files (list
 of {path, added_lines, removed_lines, loc_before}), and an optional label
 (0 or 1). Unknown keys are ignored.
 
+A loaded stream holds each distinct author and path as one str
+(sys.intern), however many commits name it.
+
 In memory a FileChange holds each side's lines as one str, the lines
 joined by "\n", plus the line count: the hand-crafted features read the
 counts and the change documents tokenize the text, and no line is held
@@ -21,6 +24,7 @@ output for equal seeds.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -85,7 +89,7 @@ class FileChange:
         return self.added_count + self.removed_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitRecord:
     commit_id: str
     timestamp: int
@@ -126,7 +130,7 @@ def _parse_file_entry(obj, line_no: int, idx: int) -> FileChange:
         raise DataError(f"line {line_no}: files[{idx}] field 'path' must be a string")
     loc_before = obj["loc_before"]
     try:
-        change = FileChange(obj["path"], obj["added_lines"], obj["removed_lines"], loc_before)
+        change = FileChange(sys.intern(obj["path"]), obj["added_lines"], obj["removed_lines"], loc_before)
     except TypeError:  # joining a line that is not a string; named below
         change = None
     for key in ("added_lines", "removed_lines"):
@@ -165,7 +169,7 @@ def parse_commit_line(line: str, line_no: int) -> CommitRecord:
     return CommitRecord(
         commit_id=obj["commit_id"],
         timestamp=obj["timestamp"],
-        author=obj["author"],
+        author=sys.intern(obj["author"]),
         message=obj["message"],
         files=files,
         label=label,

@@ -1,8 +1,10 @@
 """End-to-end experiment orchestration: feature extraction, vocabulary,
 model training, the fusion sweep, evaluation reports, and the large-commit
-drop experiment. Re-running a config on the same corpus file writes the
-same bytes, worker or not; they depend on the corpus path (config_hash),
-and at full-scale widths on BLAS threads and stack layout (train_deep).
+drop experiment. Re-running a config on the same corpus bytes writes the
+same artifacts, worker or not and wherever the corpus file lies
+(config_hash covers its sha256, not its path); only config.json records
+the paths. At full-scale widths they depend on BLAS threads and stack
+layout (train_deep).
 """
 
 from __future__ import annotations
@@ -155,17 +157,23 @@ def config_from_dict(d: dict) -> RunConfig:
     return RunConfig(**{k: tuple(v) if k in _TUPLE_FIELDS else v for k, v in d.items()})
 
 
-def config_hash(config: RunConfig) -> str:
-    """Hash of the computation-affecting fields only; where artifacts land
-    (out) cannot change their bytes."""
+def config_hash(config: RunConfig, corpus_sha256: str) -> str:
+    """Hash of what the computation reads: every field but the two paths,
+    and the sha256 of the corpus file's bytes in place of its path. Where
+    the corpus lies or the artifacts land cannot change their bytes."""
     d = config.as_dict()
     d.pop("out", None)
+    d["corpus"] = corpus_sha256
     blob = json.dumps(d, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _sha256_file(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _write_json(path, obj) -> None:
@@ -298,10 +306,11 @@ def run_pipeline(config: RunConfig, until: str = "evaluate") -> Path:
         corpus = load_commit_stream(config.corpus)
     except DataError as exc:
         raise PipelineError("load", exc) from exc
+    digest = _sha256_file(config.corpus)
     out = Path(config.out)
     with writing():
         out.mkdir(parents=True, exist_ok=True)
-    _run_corpus(corpus, config, out, until)
+    _run_corpus(corpus, digest, config, out, until)
     for rate in config.drop_rates:
         sub = out / f"drop_{rate:g}"
         sub.mkdir(parents=True, exist_ok=True)
@@ -309,13 +318,14 @@ def run_pipeline(config: RunConfig, until: str = "evaluate") -> Path:
             reduced = drop_large_commits(corpus, rate)
         except ValueError as exc:
             raise PipelineError("drop", exc) from exc
-        _run_corpus(reduced, config, sub, until)
+        _run_corpus(reduced, digest, config, sub, until)
     return out
 
 
-def _run_corpus(corpus, config: RunConfig, out: Path, until: str) -> None:
+def _run_corpus(corpus, corpus_sha256: str, config: RunConfig, out: Path, until: str) -> None:
     """One run per split of the corpus, k-fold runs in fold_<f>/ subdirs;
-    the corpus is ordered and featurized once for all of them."""
+    the corpus is ordered and featurized once for all of them. corpus_sha256
+    is that of the corpus file, which the runs' provenance covers."""
     ordered = sort_chronologically(corpus)
     splits = _stage("split", _split_rows, ordered, config)
     features = _stage("features", featurize_corpus, ordered)
@@ -323,7 +333,7 @@ def _run_corpus(corpus, config: RunConfig, out: Path, until: str) -> None:
         sub = out / f"fold_{f}" if config.split_mode == "kfold" else out
         sub.mkdir(parents=True, exist_ok=True)
         notes = []
-        _run_once(ordered, features, config, sub, until, rows, notes)
+        _run_once(ordered, features, corpus_sha256, config, sub, until, rows, notes)
         (sub / "provenance.log").write_text("\n".join(notes) + "\n", encoding="utf-8")
 
 
@@ -364,16 +374,17 @@ def _split_rows(ordered, config: RunConfig) -> list:
     return splits
 
 
-def _run_once(ordered, features, config: RunConfig, out: Path, until: str, rows, notes) -> None:
+def _run_once(ordered, features, corpus_sha256: str, config: RunConfig, out: Path, until: str,
+              rows, notes) -> None:
     """One run on one split of the featurized corpus, given as row
     positions, through the stage `until`. Each stage appends what it read
     to notes, the lines of provenance.log; the leakage audit is that no
     stage before 'evaluate' declares reading test labels."""
     train, val, test = rows
-    cfg_hash = config_hash(config)
+    cfg_hash = config_hash(config, corpus_sha256)
     provenance = f"{cfg_hash}:{config.seed}"
     _write_json(out / "config.json", {"config": config.as_dict(), "hash": cfg_hash, "seed": config.seed})
-    notes.append(f"load: {len(ordered)} commits from {config.corpus or '<in-memory>'}")
+    notes.append(f"load: {len(ordered)} commits, corpus sha256 {corpus_sha256}")
     notes.append(f"split: train={len(train)} validation={len(val)} test={len(test)} "
                  f"(ids and timestamps only, no labels read)")
 
@@ -773,10 +784,14 @@ def _score_encoded_ahead(bundle: LoadedBundle, chunks) -> dict:
     process scores chunk k. The worker writes each chunk's ids into the
     other of two chunk-sized slots shared with this process; one byte down
     a pipe says a chunk is ready, and one byte back says its slot is free
-    again. Where no worker can be forked, every chunk is encoded here."""
+    again. The slots hold ids as int16, or as int32 for a vocabulary of
+    more than 2**15 entries: scoring only gathers embedding rows by them
+    and compares them with PAD_ID, so every score keeps its bits. Where no
+    worker can be forked, every chunk is encoded here."""
     shape = bundle.shape
-    slots = [(_shared_zeros((PREDICT_CHUNK, shape.l_msg)),
-              _shared_zeros((PREDICT_CHUNK, shape.files, shape.l_code))) for _ in range(2)]
+    dtype = np.int16 if len(bundle.vocab) <= 2**15 else np.int32
+    slots = [(_shared_zeros((PREDICT_CHUNK, shape.l_msg), dtype),
+              _shared_zeros((PREDICT_CHUNK, shape.files, shape.l_code), dtype)) for _ in range(2)]
     ready, free = _pipe(), _pipe()
 
     def slot(k):
@@ -826,11 +841,11 @@ def _pipe() -> tuple:
     return open(read_fd, "rb", buffering=0), open(write_fd, "wb", buffering=0)
 
 
-def _shared_zeros(shape) -> np.ndarray:
-    """An int64 array of zeros (PAD_ID) in an anonymous shared mapping, so
-    that what a forked child writes into it shows here."""
+def _shared_zeros(shape, dtype) -> np.ndarray:
+    """An array of zeros (PAD_ID) in an anonymous shared mapping, so that
+    what a forked child writes into it shows here."""
     count = int(np.prod(shape))
-    return np.frombuffer(mmap.mmap(-1, 8 * count), np.int64, count).reshape(shape)
+    return np.frombuffer(mmap.mmap(-1, np.dtype(dtype).itemsize * count), dtype, count).reshape(shape)
 
 
 def _openblas():

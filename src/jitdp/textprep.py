@@ -111,9 +111,9 @@ def encode_commits(commits, vocab: Vocab, shape: TextShape, out=None) -> tuple:
     sequence of commits: each message padded/truncated to l_msg, each file
     document to l_code, and the file list to `files` rows (first rows by
     file order; padding rows are all-padding). Token lists are cut to length
-    before their ids are looked up. out, if given, is a pair of int64
-    arrays of those shapes, all PAD_ID, that are filled and returned
-    instead of new ones."""
+    before their ids are looked up. out, if given, is a pair of integer
+    arrays of those shapes, all PAD_ID and wide enough for every id of the
+    vocabulary, that are filled and returned instead of new ones."""
     table = vocab.table
     if out is None:
         out = (np.full((len(commits), shape.l_msg), PAD_ID, dtype=np.int64),

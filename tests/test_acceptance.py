@@ -362,3 +362,24 @@ def test_criterion_8_reproducibility(desk_scale_run):
         b = (out_b / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
     _report(8, f"{len(REPRODUCIBLE_FILES)} report files byte-identical, {elapsed:.0f}s rerun")
+
+
+def test_artifacts_do_not_depend_on_where_the_corpus_lies(desk_scale_run):
+    """The same corpus bytes at another absolute path write the same
+    artifacts; only config.json, which records the paths, differs."""
+    moved = desk_scale_run["base"] / "elsewhere" / "corpus.jsonl"
+    moved.parent.mkdir()
+    moved.write_bytes(desk_scale_run["corpus"].read_bytes())
+    out_a, out_c = desk_scale_run["out"], desk_scale_run["base"] / "run_c"
+    assert moved.is_absolute() and moved != desk_scale_run["corpus"]
+    run_pipeline(_pipeline_config(moved, out_c))
+    names = sorted(p.name for p in out_a.iterdir())
+    assert sorted(p.name for p in out_c.iterdir()) == names
+    for name in names:
+        same = (out_a / name).read_bytes() == (out_c / name).read_bytes()
+        assert same == (name != "config.json"), name
+    config_a, config_c = (json.loads((o / "config.json").read_text()) for o in (out_a, out_c))
+    assert config_a["hash"] == config_c["hash"]
+    assert {**config_c["config"], "corpus": str(desk_scale_run["corpus"]), "out": str(out_a)} == \
+        config_a["config"]
+    _report(8, f"{len(names) - 1} artifacts byte-identical with the corpus at another path")

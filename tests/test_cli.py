@@ -465,6 +465,10 @@ class TestDropExperiment:
             assert (out / sub / "metrics.json").exists()
 
 
+# The sha256 of an empty corpus file.
+_DIGEST = hashlib.sha256(b"").hexdigest()
+
+
 class TestRunConfig:
     def test_round_trips_through_serialization(self):
         cfg = RunConfig(corpus="x.jsonl", seed=7, drop_rates=(0.1, 0.2),
@@ -474,15 +478,18 @@ class TestRunConfig:
     def test_hash_stable_and_sensitive(self):
         a = RunConfig(corpus="x", seed=1)
         b = RunConfig(corpus="x", seed=2)
-        assert config_hash(a) == config_hash(RunConfig(corpus="x", seed=1))
-        assert config_hash(a) != config_hash(b)
-        # artifact location does not change what is computed
-        assert config_hash(a) == config_hash(RunConfig(corpus="x", seed=1, out="elsewhere"))
+        assert config_hash(a, _DIGEST) == config_hash(RunConfig(corpus="x", seed=1), _DIGEST)
+        assert config_hash(a, _DIGEST) != config_hash(b, _DIGEST)
+        # neither where the corpus lies nor where artifacts land changes what is computed
+        assert config_hash(a, _DIGEST) == config_hash(RunConfig(corpus="/elsewhere/y", seed=1,
+                                                                out="elsewhere"), _DIGEST)
+        # the corpus bytes do
+        assert config_hash(a, _DIGEST) != config_hash(a, hashlib.sha256(b"{}\n").hexdigest())
 
     def test_hash_pinned(self):
         """Bundle and metrics provenance strings carry this hash, so a
         RunConfig edit must not move it unnoticed."""
-        assert config_hash(RunConfig(corpus="x", seed=1)) == "871a9c34598a7678"
+        assert config_hash(RunConfig(corpus="x", seed=1), _DIGEST) == "07672288411f6d23"
 
     def test_ratios_within_the_split_tolerance_of_one(self):
         # their float sum is 0.9999999999999999, which chronological_split accepts

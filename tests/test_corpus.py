@@ -1,6 +1,9 @@
 """Corpus ingestion, splitting, rebalancing, and generator tests."""
 
+import copy
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -465,6 +468,40 @@ class TestFileChangeAgainstLineTuples:
 
 
 class TestLoadedStreamMemory:
+    def test_repeated_authors_and_paths_are_one_object_each(self, tmp_path):
+        path = tmp_path / "synth.jsonl"
+        save_commit_stream(path, synthesize_corpus(SyntheticSpec(size=300, seed=0)))
+        loaded = load_commit_stream(path)
+        for names in ([c.author for c in loaded], [f.path for c in loaded for f in c.files]):
+            first = {}
+            assert len(set(names)) < len(names) / 2  # most names repeat
+            assert all(first.setdefault(name, name) is name for name in names)
+
+    @pytest.mark.parametrize("value", [None, 7])
+    def test_non_string_author_and_path_keep_their_error_text(self, value):
+        """The loader interns author and path only once their type is
+        checked, so sys.intern's own TypeError never shows."""
+        author = json.loads(_minimal_line("c0"))
+        author["author"] = value
+        path = json.loads(_minimal_line("c0"))
+        path["files"][0]["path"] = value
+        for obj, text in ((author, "line 1: field 'author' must be a string"),
+                          (path, "line 1: files[0] field 'path' must be a string")):
+            with pytest.raises(DataError) as info:
+                parse_commit_line(json.dumps(obj), 1)
+            assert str(info.value) == text
+
+    def test_slotted_record_survives_pickle_copy_and_replace(self):
+        record = synthesize_corpus(SyntheticSpec(size=100, seed=0))[0]
+        assert not hasattr(record, "__dict__")
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+        changed = dataclasses.replace(record, message="other", label=None)
+        assert (changed.message, changed.label, changed.files) == ("other", None, record.files)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.author = "x"
+
     def test_live_bytes_per_modified_line(self, tmp_path):
         """A loaded line costs its characters, not a str object of its own:
         about 45 B per line here, against about 95 B when each line was

@@ -9,6 +9,7 @@ import pytest
 from jitdp.corpus import SyntheticSpec, chronological_split, synthesize_corpus
 from jitdp.deep_model import (
     DeepConfig,
+    DeepDataset,
     TrainingError,
     TrainLogEntry,
     backward_batch,
@@ -25,7 +26,7 @@ from jitdp.evaluation import roc_auc
 from jitdp import nn
 from jitdp.nn import cross_entropy_batch, save_params
 from jitdp.pipeline import RunConfig
-from jitdp.textprep import build_vocab, render_change_document, tokenize
+from jitdp.textprep import PAD_ID, TextShape, build_vocab, render_change_document, tokenize
 
 from test_nn import finite_diff_check, scalar_loop_textcnn
 
@@ -297,6 +298,32 @@ class TestScoreDataset:
                                                strategy)
                 want.append(probs[:, 1] if strategy == "gmf" else np.stack([p[:, 1] for p in probs], 1))
             assert scores.tobytes() == np.concatenate(want).tobytes()
+
+    @pytest.mark.parametrize("widths", ["desk", "full_scale"])
+    def test_int16_ids_score_as_int64_ids(self, widths):
+        """predict's shared slots hold ids as int16 for vocabularies of up to
+        32,768 entries: the same ids as int16 give the bits of int64 ids, at
+        ids across a 20,000-entry vocabulary, with all-padding rows."""
+        cfg, shape = ((DESK_CONFIG, DESK_SHAPE) if widths == "desk"
+                      else (DeepConfig(), TextShape()))
+        rng = np.random.default_rng(7)
+        n, vocab_size = 300, 20_000
+
+        def ids(rows, length):
+            out = rng.integers(1, vocab_size, (*rows, length))
+            out[np.arange(length) >= rng.integers(0, length + 1, (*rows, 1))] = PAD_ID
+            return out
+
+        wide = DeepDataset(commit_ids=tuple(map(str, range(n))), message_ids=ids((n,), shape.l_msg),
+                           file_ids=ids((n, shape.files), shape.l_code), x_cat=rng.normal(size=(n, 1)),
+                           x_cont=rng.normal(size=(n, 13)), labels=np.full(n, -1))
+        assert (wide.file_ids == PAD_ID).all(axis=2).any() and wide.file_ids.max() > 2**14
+        narrow = dataclasses.replace(wide, message_ids=wide.message_ids.astype(np.int16),
+                                     file_ids=wide.file_ids.astype(np.int16))
+        stack = stack_params([init_deep_params(np.random.default_rng(i), vocab_size, cfg, s)
+                              for i, s in enumerate(("none", "gmf"))])
+        want = score_dataset(stack, cfg, wide, ("none", "gmf"))
+        assert score_dataset(stack, cfg, narrow, ("none", "gmf")).tobytes() == want.tobytes()
 
     def test_no_forward_batch_and_no_cache(self, monkeypatch):
         _, _, test, vocab = _datasets(SyntheticSpec(size=120, text_strength=1.0, seed=4))

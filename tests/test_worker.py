@@ -23,6 +23,7 @@ from jitdp.deep_model import TrainingError
 from jitdp.features import featurize_corpus, normalize_features
 from jitdp.pipeline import PipelineError, RunConfig, load_bundle, predict_commits, run_pipeline
 from jitdp.simple_model import forest_predict_many
+from jitdp.textprep import Vocab
 
 TINY = dict(l_msg=16, l_code=32, files=3, embed_dim=6, filters=6, hidden=12, epochs=1,
             batch_size=32, lr=4e-3, dropout=0.25, forest_trees=10, seed=4)
@@ -137,6 +138,37 @@ def test_predict_forks_for_more_than_one_chunk(acceptance_bundle, acceptance_cor
     predict_commits(acceptance_bundle, acceptance_corpus[:256])
     assert forks == []
     predict_commits(acceptance_bundle, acceptance_corpus[:257])
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("entries, dtype", [(32_768, np.int16), (32_769, np.int32)])
+def test_id_slots_are_as_narrow_as_the_vocabulary(acceptance_bundle, acceptance_corpus, forks,
+                                                   monkeypatch, entries, dtype):
+    """The shared id slots hold the narrowest type of int16 and int32 that
+    holds every id of the bundle's vocabulary. A three-chunk stream gives
+    the same rows with the worker and without it, whatever the slot type.
+    The vocabulary is padded with tokens no text yields (the tokenizer
+    never keeps a space), so every id a commit gets is unchanged."""
+    monkeypatch.setattr(pipeline, "PREDICT_CHUNK", 256)
+    vocab = acceptance_bundle.vocab
+    padded = Vocab({**vocab.token_to_id, **{f"unused {i}": i for i in range(len(vocab), entries)}})
+    assert len(padded) == entries
+    bundle = replace(acceptance_bundle, vocab=padded)
+    made = []
+    real_zeros = pipeline._shared_zeros
+
+    def shared_zeros(shape, dtype):
+        made.append(np.dtype(dtype))
+        return real_zeros(shape, dtype)
+
+    monkeypatch.setattr(pipeline, "_shared_zeros", shared_zeros)
+    commits = acceptance_corpus[:700]
+    expected = _one_pass(acceptance_bundle, commits)
+    assert predict_commits(bundle, commits) == expected
+    assert made == [np.dtype(dtype)] * 4 and len(forks) == 1
+    with monkeypatch.context() as here:
+        here.setattr(pipeline, "_workers_available", lambda: False)
+        assert predict_commits(bundle, commits) == expected
     assert len(forks) == 1
 
 
