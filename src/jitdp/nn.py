@@ -129,31 +129,37 @@ def _sum_rows(values: np.ndarray, at: np.ndarray, n_rows: int) -> RowGrad:
 # against a full-length pass. Id input shorter than the widest window is
 # pooled as vectors, zero extension included.
 #
-# Training (the cached path) embeds a batch that fits one bucket of
-# _TEXTCNN_BLOCK tap-matrix elements, the taps of all M models counted,
-# whole and in its order. A larger batch is sorted by r into buckets of at
-# most that many, each embedded only through its longest kept prefix.
+# One pooling function serves training (the cached path), which also
+# needs each filter's argmax window per row, and scoring (cache=False),
+# which needs only the maxima and keeps nothing for a backward pass. Vectors
+# and a small id batch are pooled whole, in their order. A larger id batch
+# lays each row's kept prefix end to end, so that every row starts on an
+# 8-column tile when L is a multiple of 8, in chunks of whole rows of about
+# _TEXTCNN_BLOCK tap elements: one tap GEMM per chunk, taps added as on
+# whole rows, then one np.maximum.reduceat per bank over each row's (start,
+# end) of windows. The argmax is a segmented first-argmax (Blelloch,
+# CMU-CS-90-190, "Prefix Sums and Their Applications"): of the positions
+# where pre equals its row's maximum, the first from each row's first
+# window on, by one np.searchsorted. The windows across two rows follow a
+# row's own, which hold its maximum, so they never come first. All-padding
+# rows pool alike, so only the first of them is laid out and the rest take
+# its maxima and argmax, as forward_batch does with its file rows. Chunks
+# are as even as the rows allow, since for a GEMM of a few columns OpenBLAS
+# takes another kernel at full-scale widths.
 #
-# Scoring (cache=False) needs only each filter's maximum per row: no
-# argmax, no gather, nothing kept. A small batch is pooled whole. A larger
-# one lays each row's kept prefix end to end, so that every row starts on
-# an 8-column tile when L is a multiple of 8, in chunks of whole rows of
-# about _TEXTCNN_BLOCK tap elements: one tap GEMM per chunk, taps added as
-# on whole rows, then one np.maximum.reduceat per bank over each row's
-# (start, end) of windows. All-padding rows pool alike, so only the first
-# of them is laid out and the rest take its maxima, as forward_batch does
-# with its file rows. Chunks are as even as the rows allow, since for
-# a GEMM of a few columns OpenBLAS takes another kernel at full-scale
-# widths. The maxima are the training path's pre_at_max, and come in the
-# memory layout it leaves them in, which the heads' reductions sum in.
+# The maxima come as (B, M, filters), in C order for an id batch of more
+# than _TEXTCNN_BLOCK tap elements and in (M, F, B) memory order otherwise.
+# The heads' reductions sum in that order, so a score's bits follow it.
 # ---------------------------------------------------------------------------
 
 # Tap-matrix elements (filter taps x token positions, all models) of one
-# bucket of token-id rows: 4 MiB of taps, about what a one-model desk
-# scoring batch of 256 commits holds. A desk training step of five models,
-# a full-scale message batch and a one-commit call are each one bucket. It
-# is also the size of a scoring chunk, and scoring packs a batch only above
-# _TEXTCNN_BLOCK >> 4 tap elements. There packing breaks even (2 cores,
+# chunk of packed id rows: 4 MiB of taps, about what a one-model desk
+# scoring batch of 256 commits holds. Training pools an id batch whole up to
+# this many elements, so a desk training step of five models, a full-scale
+# message batch and a one-commit call are each whole; at scoring's cut-off
+# it would pack the desk training batches, and the desk acceptance run took
+# 1.15x as long in the median (10 of 10 pairs). Scoring packs a batch above
+# _TEXTCNN_BLOCK >> 4 elements, where packing breaks even (2 cores,
 # OpenBLAS 0.3.31): packed, a one-commit desk batch (at most 6k elements)
 # takes 1.3-1.7x as long, a 64-row desk batch (46k) 0.8x, 4 and 8
 # full-scale message rows (33k, 65k) 1.05x and 0.93x, and a commit's 8
@@ -199,21 +205,6 @@ def _window_pre(taps_w, banks, x, shape):
         yield k, pre
 
 
-def _pool(taps_w, banks, x):
-    """Per bank, (k, arg, pre_at_max) with arg (B, M * n_k) and pre_at_max
-    (B, M, n_k), of vectors x (B, L, M * d_in) zero-extended to the widest
-    window; also returns the extended x. taps_w is (M, taps, d_in)."""
-    x = _extend(x, banks[-1][0])
-    batch, length = x.shape[:2]
-    pooled = []
-    for k, pre in _window_pre(taps_w, banks, x.reshape(batch * length, -1), (batch, length)):
-        arg = pre.argmax(axis=3).reshape(-1)  # pre is (M, n_k, B, P)
-        at_max = pre.reshape(-1, pre.shape[3])[np.arange(len(arg)), arg]  # one flat gather
-        pooled.append((k, arg.reshape(-1, batch).T,
-                       at_max.reshape(len(taps_w), -1, batch).transpose(2, 0, 1)))
-    return pooled, x
-
-
 def _kept_prefixes(ids, widest):
     """Each id row's real length r and kept prefix, min(L, r + widest
     rounded up to 8 tokens): see the textCNN notes."""
@@ -233,46 +224,30 @@ def padding_slots(pad: np.ndarray):
     return keep, slot
 
 
-def _pool_ids(taps_w, banks, ids, table):
-    """_pool of table[ids]; a batch too large for one bucket is pooled
-    bucket by bucket, each over its longest kept prefix."""
-    batch, length = ids.shape
-    cap = _TEXTCNN_BLOCK // (taps_w.shape[0] * taps_w.shape[1])  # token positions of one bucket
-    if batch * length <= cap:
-        return _pool(taps_w, banks, embedding_forward(table, ids))[0]
-    real, kept = _kept_prefixes(ids, banks[-1][0])
-    order = np.argsort(real, kind="stable")
-    prefixes = kept[order]
-    parts, start = [], 0
-    while start < batch:
-        # rows start..stop-1 cost (stop - start) * prefixes[stop - 1] positions
-        fits = np.searchsorted(np.arange(1, batch - start + 1) * prefixes[start:], cap, "right")
-        stop = start + max(1, int(fits))
-        rows = order[start:stop]
-        parts.append(_pool(taps_w, banks, embedding_forward(table, ids[rows, : prefixes[stop - 1]]))[0])
-        start = stop
-    back = np.argsort(order)
-    return [(k, *(np.concatenate([part[i][j] for part in parts])[back] for j in (1, 2)))
-            for i, (k, _, _) in enumerate(banks)]
-
-
-def _max_pool(taps_w, banks, x, table=None):
-    """_pool's pre_at_max of every bank, (B, M, total filters), without an
-    argmax or anything for a backward pass. x is (B, L) token ids of table,
-    or (B, L, M * d_in) vectors when table is None. Vectors and small id
-    batches are pooled whole; see the textCNN notes for the packed path."""
+def _pool(taps_w, banks, x, table=None, argmax=False):
+    """Each filter's maximum over each row's windows, (B, M, total filters)
+    in the memory layout of the textCNN notes, and with argmax each bank's
+    first window at it, (B, M * n_k); else None. x is (B, L) token ids of
+    table, or (B, L, M * d_in) vectors when table is None, at least the
+    widest window long. Vectors and small id batches are pooled whole; see
+    the textCNN notes for the packed path."""
     models, taps = taps_w.shape[:2]
-    widest = banks[-1][0]
-    if table is None:
-        x = _extend(x, widest)
     batch, length = x.shape[:2]
     cap = max(1, _TEXTCNN_BLOCK // (models * taps))  # token positions of one chunk
-    if table is None or batch * length * models * taps <= _TEXTCNN_BLOCK >> 4:
-        whole = (x.reshape(batch * length, -1) if table is None
-                 else embedding_forward(table, x.reshape(-1)))
-        maxima = [pre.max(axis=3) for _, pre in _window_pre(taps_w, banks, whole, (batch, length))]
-        return np.concatenate(maxima, axis=1).transpose(2, 0, 1)
-    real, kept = _kept_prefixes(x, widest)
+    args = [] if argmax else None
+    if table is None or batch * length * models * taps <= _TEXTCNN_BLOCK >> (0 if argmax else 4):
+        whole = x.reshape(batch * length, -1) if table is None else embedding_forward(table, x.reshape(-1))
+        maxima = []
+        for k, pre in _window_pre(taps_w, banks, whole, (batch, length)):  # pre is (M, n_k, B, P)
+            if argmax:
+                args.append(pre.argmax(axis=3))
+                at = args[-1].reshape(-1)  # one flat gather
+                maxima.append(pre.reshape(-1, pre.shape[3])[np.arange(len(at)), at].reshape(args[-1].shape))
+            else:
+                maxima.append(pre.max(axis=3))
+        return (np.concatenate(maxima, axis=1).transpose(2, 0, 1),
+                None if args is None else [a.reshape(-1, batch).T for a in args])
+    real, kept = _kept_prefixes(x, banks[-1][0])
     live, slot = padding_slots(real == 0)
     flat = x[np.arange(length) < np.where(live, kept, 0)[:, None]]
     kept = kept[live]
@@ -285,6 +260,8 @@ def _max_pool(taps_w, banks, x, table=None):
         cuts = np.searchsorted(ends, np.arange(1, chunks) * total // chunks, "right")
         rows = np.unique(np.concatenate([[0], cuts, [len(kept)]]))
     out = np.empty((models, sum(w.shape[0] for _, w, _ in banks), len(kept)))
+    if argmax:
+        args = [np.empty((models, w.shape[0], len(kept)), dtype=np.intp) for _, w, _ in banks]
     for first, last in zip(rows[:-1], rows[1:]):
         lo, hi = starts[first], ends[last - 1]
         # each row's (start, end) of windows, interleaved for one reduceat
@@ -292,15 +269,28 @@ def _max_pool(taps_w, banks, x, table=None):
         bounds = np.empty(2 * (last - first), dtype=np.intp)
         bounds[0::2] = starts[first:last] - lo
         maxima = []
-        for k, pre in _window_pre(taps_w, banks, embedding_forward(table, flat[lo:hi]), (hi - lo,)):
+        for i, (k, pre) in enumerate(_window_pre(taps_w, banks, embedding_forward(table, flat[lo:hi]),
+                                                 (hi - lo,))):
             np.subtract(ends[first:last] - lo, k - 1, out=bounds[1::2])
             maxima.append(np.maximum.reduceat(pre, bounds[:-1], axis=2)[:, :, ::2])
+            if argmax:
+                # each row's maximum spread over its positions, the windows
+                # past its own (across two rows) included: those come after
+                # the row's own windows, which hold its maximum, so the first
+                # hit from each row's first window on is its first argmax
+                spread = kept[first:last].copy()
+                spread[-1] -= k - 1
+                hits = np.flatnonzero(pre == np.repeat(maxima[-1], spread, axis=2))
+                begin = (np.arange(models * pre.shape[1])[:, None] * pre.shape[2] + bounds[0::2]).reshape(-1)
+                at = hits[np.searchsorted(hits, begin)] - begin
+                args[i][:, :, first:last] = at.reshape(maxima[-1].shape)
         np.concatenate(maxima, axis=1, out=out[:, :, first:last])
-    # (M, F, B) in C order, as _pool leaves one bucket (an index on the last
-    # axis would not keep that order); C order for (B, M, F), as _pool_ids
-    # leaves a batch of buckets
-    out = out.take(slot, axis=2).transpose(2, 0, 1)
-    return np.ascontiguousarray(out) if batch * length > cap else out
+    # C order past one chunk, (M, F, B) otherwise, as the notes say (an
+    # index on the last axis would not keep that order)
+    maxima = out.take(slot, axis=2).transpose(2, 0, 1)
+    if batch * length > cap:
+        maxima = np.ascontiguousarray(maxima)
+    return maxima, None if args is None else [a.take(slot, axis=2).reshape(-1, batch).T for a in args]
 
 
 class TextCNNLayout(NamedTuple):
@@ -346,18 +336,19 @@ def textcnn_forward(params: Params, prefix: str, x: np.ndarray,
         ids = x
         if orig_len < banks[-1][0]:
             x = embedding_forward(embedding, ids)
+    if x is not ids:
+        x = _extend(x, banks[-1][0])
+    maxima, args = _pool(taps_w, banks, x, embedding if x is ids else None, argmax=cache)
+    z = relu(maxima).reshape(len(maxima), -1)
     if not cache:
-        pooled = _max_pool(taps_w, banks, x, embedding if x is ids else None)
-        return relu(pooled).reshape(len(pooled), -1), None
-    if x is ids:
-        pooled, x = _pool_ids(taps_w, banks, ids, embedding), None
-    else:
-        pooled, x = _pool(taps_w, banks, x)
-    batch = len(pooled[0][1])
-    z = np.concatenate([relu(at_max) for _, _, at_max in pooled], axis=2)
-    cache = {"x": x, "ids": ids, "embedding": embedding, "orig_len": orig_len, "prefix": prefix,
-             "models": models, "banks": pooled}
-    return z.reshape(batch, -1), cache
+        return z, None
+    pooled, col = [], 0
+    for (k, w, _), arg in zip(banks, args):
+        pooled.append((k, arg, maxima[:, :, col : col + w.shape[0]]))
+        col += w.shape[0]
+    cache = {"x": None if x is ids else x, "ids": ids, "embedding": embedding, "orig_len": orig_len,
+             "prefix": prefix, "models": models, "banks": pooled}
+    return z, cache
 
 
 def textcnn_backward(params: Params, cache, d_z: np.ndarray):

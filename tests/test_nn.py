@@ -268,9 +268,9 @@ def _id_path_against_vectors(ids, block, params, emb, d_z_seed=0):
 
 
 class TestTextCnnIdPath:
-    """A token-id batch larger than one bucket embeds only each bucket's
-    prefix, and every id batch returns the table gradient; both must match
-    the vector path on the embedded ids."""
+    """A token-id batch larger than one chunk is pooled packed, embedding
+    only each row's kept prefix, and every id batch returns the table
+    gradient; both must match the vector path on the embedded ids."""
 
     @settings(max_examples=150, deadline=None)
     @given(ids=id_batches(), block=st.sampled_from([1, 150, 400, 1 << 20]),
@@ -298,22 +298,6 @@ class TestTextCnnIdPath:
         cache = _id_path_against_vectors(ids, block, params, emb)
         for k, arg, _ in cache["banks"]:
             assert np.array_equal(arg, np.repeat(real[:, None], arg.shape[1], axis=1)), k
-
-    def test_small_block_forms_many_buckets(self, monkeypatch):
-        rng = np.random.default_rng(32)
-        params = nn.textcnn_init(rng, "t", 3, (1, 2, 3), 5)
-        emb = rng.normal(size=(20, 3))
-        ids = rng.integers(1, 20, size=(9, 30))
-        for r, n in enumerate(rng.integers(0, 31, size=9)):
-            ids[r, n:] = 0
-        taps = sum(w.shape[0] * w.shape[1] for n, w in params.items() if ".w" in n)
-        embedded = []
-        monkeypatch.setattr(nn, "embedding_forward",
-                            lambda table, part: embedded.append(part.shape) or table[part])
-        _id_path_against_vectors(ids, taps * 40, params, emb)
-        assert len(embedded) > 3
-        assert sum(rows for rows, _ in embedded) == len(ids)
-        assert all(rows == 1 or rows * length <= 40 for rows, length in embedded)
 
 
 @st.composite
@@ -363,9 +347,9 @@ class TestTextCnnScoringPool:
         at_max = np.concatenate([a for _, _, a in cache["banks"]], axis=2)
         layout = nn.textcnn_layout(params, "t")
         with mock.patch.object(nn, "_TEXTCNN_BLOCK", block):
-            maxima = nn._max_pool(layout.taps_w, layout.banks, ids, table)
+            maxima, args = nn._pool(layout.taps_w, layout.banks, ids, table)
             z, none = nn.textcnn_forward(params, "t", ids, embedding=table, cache=False)
-        assert none is None
+        assert none is None and args is None
         assert maxima.shape == at_max.shape
         if ids.shape[1] % 8 == 0:
             _assert_same_bits(maxima, at_max)
@@ -390,11 +374,36 @@ class TestTextCnnScoringPool:
             z, _ = nn.textcnn_forward(params, "t", x, embedding=None if vectors else table)
             _assert_same_bits(nn.textcnn_forward(params, "t", x, embedding=None if vectors else table,
                                                  cache=False)[0], z)
+        if vectors:
+            return
+        # training's argmax windows and gradients: packed past one chunk (the
+        # default block), or whole (a block larger than any batch)
+        for batch in (ids[:1], ids[:8], ids[:64]):
+            d_z = rng.normal(size=(len(batch), 64))
+            passes = []
+            for block in (nn._TEXTCNN_BLOCK, 1 << 40):
+                with mock.patch.object(nn, "_TEXTCNN_BLOCK", block):
+                    _, cache = nn.textcnn_forward(params, "t", batch, embedding=table)
+                passes.append((cache["banks"], *nn.textcnn_backward(params, cache, d_z)))
+            (banks, d_table, grads), (banks_whole, d_whole, grads_whole) = passes
+            for (_, arg, at_max), (_, arg_whole, at_max_whole) in zip(banks, banks_whole):
+                _assert_same_bits(arg, arg_whole)
+                _assert_same_bits(at_max, at_max_whole)
+            _assert_same_bits(d_table.rows, d_whole.rows)
+            _assert_same_bits(d_table.sums, d_whole.sums)
+            assert sorted(grads) == sorted(grads_whole)
+            for name in grads:
+                _assert_same_bits(grads[name], grads_whole[name])
 
-    def test_padding_past_each_prefix_is_never_embedded(self, monkeypatch):
+    @pytest.mark.parametrize("models", [1, 5])
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_padding_past_each_prefix_is_never_embedded(self, monkeypatch, cache, models):
+        # a chunk of 200 positions, the taps of every model counted; the
+        # cached path packs the same chunks and keeps the vector path's bits
         rng = np.random.default_rng(34)
-        params = nn.textcnn_init(rng, "t", 3, (1, 2, 3), 5)
-        taps = sum(w.shape[0] * w.shape[1] for n, w in params.items() if ".w" in n)
+        params = {n: np.concatenate([v] * models, axis=-1)
+                  for n, v in nn.textcnn_init(rng, "t", 3, (1, 2, 3), 5).items()}
+        taps = models * sum(w.shape[0] * w.shape[1] for n, w in params.items() if ".w" in n)
         ids = rng.integers(1, 20, size=(40, 32))
         for r, n in enumerate(rng.integers(0, 33, size=40)):
             ids[r, n:] = 0
@@ -403,8 +412,13 @@ class TestTextCnnScoringPool:
         monkeypatch.setattr(nn, "embedding_forward",
                             lambda table, part: embedded.append(part.copy()) or table[part])
         monkeypatch.setattr(nn, "_TEXTCNN_BLOCK", taps * 200)
-        z, _ = nn.textcnn_forward(params, "t", ids, embedding=rng.normal(size=(20, 3)), cache=False)
-        assert z.shape == (40, 5)
+        table = rng.normal(size=(20, 3 * models))
+        if cache:
+            # z, each bank's argmax and the gradients as on the embedded ids
+            _id_path_against_vectors(ids, taps * 200, params, table)
+        else:
+            z, _ = nn.textcnn_forward(params, "t", ids, embedding=table, cache=False)
+            assert z.shape == (40, 5 * models)
         kept = _kept_prefixes(ids, 3)
         kept[np.flatnonzero(~ids.any(axis=1))[1:]] = 0  # later all-padding rows pool as the first
         assert len(embedded) > 3  # chunks of about 200 positions
@@ -793,7 +807,7 @@ class TestCheckpoint:
 def model_stacks(draw):
     """M models' textCNN params, their inputs and output gradients: token ids
     with padding tails (lengths below, at and past the widest window, 3) or
-    vectors, and a bucket block that may split the batch."""
+    vectors, and a block that may pack the batch in chunks."""
     models = draw(st.sampled_from([1, 2, 5]))
     d_in = draw(st.sampled_from([1, 3, 8]))
     filters = draw(st.sampled_from([1, 2, 7, 8]))
@@ -835,7 +849,7 @@ class TestTextCnnChannelBlocks:
         x = inputs[0] if tables[0] is not None else np.concatenate(inputs, axis=-1)
         table = None if tables[0] is None else np.concatenate(tables, axis=1)
         z, d_input, grads = _textcnn_pass(stacked, x, table, np.concatenate(d_z, axis=1), block)
-        # A lone model's bucket holds M times the rows of the stack's.
+        # A lone model's chunk holds M times the rows of the stack's.
         for m in range(models):
             z_m, d_m, grads_m = _textcnn_pass(params[m], inputs[m], tables[m], d_z[m],
                                               block // models)
@@ -847,22 +861,6 @@ class TestTextCnnChannelBlocks:
             for name, g in grads_m.items():
                 width = g.shape[-1]
                 assert np.array_equal(grads[name][..., m * width : (m + 1) * width], g), name
-
-    def test_bucket_cap_counts_every_model(self, monkeypatch):
-        rng = np.random.default_rng(33)
-        models = 5
-        params = {n: np.concatenate([v] * models, axis=-1)
-                  for n, v in nn.textcnn_init(rng, "t", 3, (1, 2, 3), 5).items()}
-        taps = models * sum(w.shape[0] * w.shape[1] for n, w in params.items() if ".w" in n)
-        ids = rng.integers(1, 20, size=(12, 24))
-        embedded = []
-        monkeypatch.setattr(nn, "embedding_forward",
-                            lambda table, part: embedded.append(part.shape) or table[part])
-        monkeypatch.setattr(nn, "_TEXTCNN_BLOCK", taps * 100)
-        z, _ = nn.textcnn_forward(params, "t", ids, embedding=rng.normal(size=(20, 3 * models)))
-        assert z.shape == (12, 5 * models)
-        assert len(embedded) > 1
-        assert all(rows * length <= 100 for rows, length in embedded)
 
 
 def _bincount_rows(values, at, n_rows):

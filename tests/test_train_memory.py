@@ -32,6 +32,7 @@ def test_prints_vocabulary_wall_time_and_peak_as_json(train_memory, capsys):
     assert small["vocab_size"] == 60 and 60 < large["vocab_size"] <= 300
     for row in (small, large):
         assert row["train_s"] > 0 and row["peak_mib"] > 0
+        assert isinstance(row["minor_faults"], int) and row["minor_faults"] >= 0
 
 
 def test_prepare_writes_the_commits_at_the_workload_shapes(train_memory, tmp_path):

@@ -13,7 +13,8 @@ repository root:
     PYTHONPATH=src python3 tools/train_memory.py --vocab 5000 10000 20000
 
 prints one JSON object: per cap, the vocabulary size reached, the wall
-time of `train_deep` and the peak RSS of the process (RUSAGE_SELF) in MiB.
+time of `train_deep`, the minor page faults taken during it (the
+`ru_minflt` delta) and the peak RSS of the process (RUSAGE_SELF) in MiB.
 
 Linux folds the peak RSS of a process image into the RUSAGE_SELF of the
 image it execs, and a new process starts as a copy of its parent. So this
@@ -32,8 +33,8 @@ from pathlib import Path
 from predict_memory import _generator, _run
 
 # Runs in the measured process: one epoch of train_deep, then the vocabulary
-# size, the wall time and the process's peak RSS in KiB, on the last line of
-# stdout.
+# size, the wall time, the minor faults of train_deep and the process's peak
+# RSS in KiB, on the last line of stdout.
 _TRAIN = """
 import json, resource, sys, time
 from dataclasses import replace
@@ -52,10 +53,11 @@ for c in train:
 vocab = textprep.build_vocab(docs, max_size=cap)
 sets = [deep_model.build_dataset(part, vocab, textprep.TextShape(), entries) for part in (train, val)]
 cfg = replace(deep_model.DeepConfig(), epochs=1)
-start = time.perf_counter()
+faults, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
 deep_model.train_deep(*sets, len(vocab), cfg, seed=seed, strategy="gmf")
 wall = time.perf_counter() - start
-print(json.dumps([len(vocab), wall, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(json.dumps([len(vocab), wall, usage.ru_minflt - faults, usage.ru_maxrss]))
 """
 
 
@@ -73,10 +75,11 @@ def prepare(work: Path, train: int | None, validation: int | None, seed: int) ->
 
 
 def measure(corpus: Path, train: int, cap: int, seed: int) -> dict:
-    """Vocabulary size, train_deep wall time and peak RSS of one process."""
+    """Vocabulary size, train_deep wall time and minor faults, and the peak
+    RSS of one process."""
     proc = _run(["-c", _TRAIN, str(corpus), str(train), str(cap), str(seed)])
-    size, wall, peak_kib = json.loads(proc.stdout.splitlines()[-1])
-    return {"vocab_size": size, "train_s": wall, "peak_mib": peak_kib / 1024}
+    size, wall, faults, peak_kib = json.loads(proc.stdout.splitlines()[-1])
+    return {"vocab_size": size, "train_s": wall, "minor_faults": faults, "peak_mib": peak_kib / 1024}
 
 
 def main(argv=None) -> int:
