@@ -24,6 +24,7 @@ output for equal seeds.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from itertools import repeat
@@ -118,6 +119,8 @@ _STRING_KEYS = ("commit_id", "author", "message")
 _FILE_KEYS = ("path", "added_lines", "removed_lines", "loc_before")
 # Characters a commit id must not hold: csv_line writes ids unquoted.
 _CSV_BREAKERS = frozenset(",\r\n")
+# What errors="surrogateescape" makes of a byte that does not decode.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def _parse_file_entry(obj, line_no: int, idx: int) -> FileChange:
@@ -180,9 +183,10 @@ def load_commit_stream(path) -> list[CommitRecord]:
     """Read a JSON-lines commit file, in file order.
 
     Raises DataError naming the offending line and field for schema
-    violations, for duplicate commit ids, and for a commit id holding a
-    comma, carriage return or line feed, which would break the CSV
-    artifacts that list it.
+    violations, for duplicate commit ids, for a commit id holding a comma,
+    carriage return or line feed, which would break the CSV artifacts that
+    list it, and for a line that is not UTF-8. A file that is missing or
+    cannot be opened is a DataError naming it.
     """
     records = []
     seen = set()
@@ -190,19 +194,32 @@ def load_commit_stream(path) -> list[CommitRecord]:
         handle = open(path, encoding="utf-8")
     except FileNotFoundError as exc:
         raise DataError(f"commit stream not found: {path}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from exc
     with handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            rec = parse_commit_line(line, line_no)
-            if rec.commit_id in seen:
-                raise DataError(f"line {line_no}: duplicate commit_id '{rec.commit_id}'")
-            if not _CSV_BREAKERS.isdisjoint(rec.commit_id):
-                raise DataError(f"line {line_no}: field 'commit_id' must not contain a comma, "
-                                f"carriage return or line feed: {rec.commit_id!r}")
-            seen.add(rec.commit_id)
-            records.append(rec)
+        try:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                rec = parse_commit_line(line, line_no)
+                if rec.commit_id in seen:
+                    raise DataError(f"line {line_no}: duplicate commit_id '{rec.commit_id}'")
+                if not _CSV_BREAKERS.isdisjoint(rec.commit_id):
+                    raise DataError(f"line {line_no}: field 'commit_id' must not contain a comma, "
+                                    f"carriage return or line feed: {rec.commit_id!r}")
+                seen.add(rec.commit_id)
+                records.append(rec)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"line {_undecodable_line(path)}: not UTF-8 text ({exc.reason})") from exc
     return records
+
+
+def _undecodable_line(path) -> int:
+    """The number of the file's first line that is not UTF-8. It is read as
+    text again, with lines counted as load_commit_stream counts them, and
+    each byte that does not decode escaped to a lone surrogate."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        return next(n for n, line in enumerate(handle, start=1) if _ESCAPED_BYTE.search(line))
 
 
 def commit_to_json(rec: CommitRecord) -> str:

@@ -1,10 +1,21 @@
-"""End-to-end experiment orchestration: feature extraction, vocabulary,
-model training, the fusion sweep, evaluation reports, and the large-commit
-drop experiment. Re-running a config on the same corpus bytes writes the
-same artifacts, worker or not and wherever the corpus file lies
-(config_hash covers its sha256, not its path); only config.json records
-the paths. At full-scale widths they depend on BLAS threads and stack
-layout (train_deep).
+"""End-to-end experiment orchestration, and serving of the bundle it
+writes. run_pipeline loads the corpus; then, for it and for each of its
+large-commit drops (in drop_<rate>/), it splits and featurizes it, and runs
+each split (each fold in fold_<f>/) through these stages, in order:
+
+  features  config.json, features.csv, train_ids.txt; the train z-stats
+  vocab     vocab.txt; the encoded train, validation and test datasets
+  train     sim_forest.ckpt, com.ckpt, fused_<s>.ckpt, <model>_train_log.csv
+  sweep     sweep_log.csv; the chosen fusion
+  bundle    bundle.json
+  evaluate  metrics.csv, metrics.json, predictions.csv
+
+and then writes provenance.log. Whatever a stage raises, an output it
+cannot write included, is one PipelineError naming the stage. Re-running a
+config on the same corpus bytes writes the same artifacts, worker or not
+and wherever the corpus file lies (config_hash covers its sha256, not its
+path); only config.json records the paths. At full-scale widths they
+depend on BLAS threads and stack layout (train_deep).
 """
 
 from __future__ import annotations
@@ -299,49 +310,31 @@ def writing():
 def run_pipeline(config: RunConfig, until: str = "evaluate") -> Path:
     """Run the experiment described by the config; returns the artifact
     directory. `until` stops after 'features', 'train', or 'sweep' for the
-    staged CLI commands. Drop-rate re-runs land in drop_<rate>/ subdirs.
-    The directory is made once the corpus has loaded; one that cannot be
-    made is a ValueError naming it."""
-    try:
-        corpus = load_commit_stream(config.corpus)
-    except DataError as exc:
-        raise PipelineError("load", exc) from exc
-    digest = _sha256_file(config.corpus)
+    staged CLI commands. The directory is made once the corpus has loaded;
+    one that cannot be made is a ValueError naming it."""
+    corpus = _stage("load", load_commit_stream, config.corpus)
+    digest = _stage("load", _sha256_file, config.corpus)
     out = Path(config.out)
     with writing():
         out.mkdir(parents=True, exist_ok=True)
-    _run_corpus(corpus, digest, config, out, until)
-    for rate in config.drop_rates:
-        sub = out / f"drop_{rate:g}"
-        sub.mkdir(parents=True, exist_ok=True)
-        try:
-            reduced = drop_large_commits(corpus, rate)
-        except ValueError as exc:
-            raise PipelineError("drop", exc) from exc
-        _run_corpus(reduced, digest, config, sub, until)
+    for sub, rate in [(out, None), *((out / f"drop_{r:g}", r) for r in config.drop_rates)]:
+        part = corpus if rate is None else _stage("drop", drop_large_commits, corpus, rate)
+        ordered = sort_chronologically(part)
+        splits = _stage("split", _split_rows, ordered, config)
+        features = _stage("features", featurize_corpus, ordered)
+        for f, rows in enumerate(splits):
+            run_out = sub / f"fold_{f}" if config.split_mode == "kfold" else sub
+            notes = _run_once(ordered, features, digest, config, run_out, until, rows)
+            _stage("write", (run_out / "provenance.log").write_text, "\n".join(notes) + "\n",
+                   encoding="utf-8")
     return out
 
 
-def _run_corpus(corpus, corpus_sha256: str, config: RunConfig, out: Path, until: str) -> None:
-    """One run per split of the corpus, k-fold runs in fold_<f>/ subdirs;
-    the corpus is ordered and featurized once for all of them. corpus_sha256
-    is that of the corpus file, which the runs' provenance covers."""
-    ordered = sort_chronologically(corpus)
-    splits = _stage("split", _split_rows, ordered, config)
-    features = _stage("features", featurize_corpus, ordered)
-    for f, rows in enumerate(splits):
-        sub = out / f"fold_{f}" if config.split_mode == "kfold" else out
-        sub.mkdir(parents=True, exist_ok=True)
-        notes = []
-        _run_once(ordered, features, corpus_sha256, config, sub, until, rows, notes)
-        (sub / "provenance.log").write_text("\n".join(notes) + "\n", encoding="utf-8")
-
-
 def _stage(stage, fn, *args, **kwargs):
+    """fn(*args, **kwargs); what it raises is a PipelineError naming the stage."""
     try:
-        return fn(*args, **kwargs)
-    except PipelineError:
-        raise
+        with writing():
+            return fn(*args, **kwargs)
     except Exception as exc:
         raise PipelineError(stage, exc) from exc
 
@@ -355,8 +348,7 @@ def _split_rows(ordered, config: RunConfig) -> list:
         # chronological_split cuts this same order into consecutive parts.
         split = chronological_split(ordered, config.ratios)
         n_train, n_val = len(split.train_ids), len(split.validation_ids)
-        rows = np.arange(len(ordered))
-        return [(rows[:n_train], rows[n_train : n_train + n_val], rows[n_train + n_val :])]
+        return [tuple(np.split(np.arange(len(ordered)), [n_train, n_train + n_val]))]
     if config.split_mode != "kfold":
         raise ValueError(f"unknown split mode '{config.split_mode}'")
     if any(c.label is None for c in ordered):
@@ -375,164 +367,174 @@ def _split_rows(ordered, config: RunConfig) -> list:
 
 
 def _run_once(ordered, features, corpus_sha256: str, config: RunConfig, out: Path, until: str,
-              rows, notes) -> None:
+              rows) -> list:
     """One run on one split of the featurized corpus, given as row
-    positions, through the stage `until`. Each stage appends what it read
-    to notes, the lines of provenance.log; the leakage audit is that no
-    stage before 'evaluate' declares reading test labels."""
+    positions, through the stage `until`; returns the provenance.log lines.
+    The leakage audit: no line before 'evaluate' declares reading test labels."""
     train, val, test = rows
     cfg_hash = config_hash(config, corpus_sha256)
     provenance = f"{cfg_hash}:{config.seed}"
-    _write_json(out / "config.json", {"config": config.as_dict(), "hash": cfg_hash, "seed": config.seed})
-    notes.append(f"load: {len(ordered)} commits, corpus sha256 {corpus_sha256}")
-    notes.append(f"split: train={len(train)} validation={len(val)} test={len(test)} "
-                 f"(ids and timestamps only, no labels read)")
-
-    write_feature_table(out / "features.csv", ordered, features)
-    (out / "train_ids.txt").write_text("\n".join(ordered[j].commit_id for j in train) + "\n",
-                                       encoding="utf-8")
-    x_all = features.matrix
-    stats = fit_train_stats(x_all[train], split="train", provenance=provenance)
-    x_cat, x_cont = normalize_features(x_all, stats)
+    notes = [f"load: {len(ordered)} commits, corpus sha256 {corpus_sha256}",
+             f"split: train={len(train)} validation={len(val)} test={len(test)} "
+             f"(ids and timestamps only, no labels read)"]
+    stats = _stage("features", _features, ordered, features, config, cfg_hash, provenance, train, out)
     notes.append("features: feature table over all commits; z-stats from train rows only")
     if until == "features":
-        return
-
-    vocab = _stage("vocab", build_vocab, _train_documents(ordered[j] for j in train),
-                   config.vocab_max_size, config.vocab_min_frequency)
-    save_vocab(out / "vocab.txt", vocab)
+        return notes
+    x_all = features.matrix
+    vocab, datasets = _stage("vocab", _vocab, ordered, x_all, stats, rows, config, out)
     notes.append(f"vocab: {len(vocab)} entries from train messages and change documents")
-
-    shape = config.text_shape()
-    deep_cfg = config.deep_config()
-    train_ds, val_ds, test_ds = (_dataset([ordered[j] for j in r], vocab, shape, x_cat[r], x_cont[r])
-                                 for r in rows)
-
-    def _train_models():
-        """The forest, and the deep stack: the commit model, then one
-        early-fused model per strategy. From four models on, a worker fits
-        the forest and trains the first half of the stack while this process
-        trains the rest; below that the worker fits only the forest. Deep
-        training holds one BLAS thread, so that neither process takes the
-        other's core and no sum depends on where a model trains. Without a
-        worker the whole stack trains in one call, quicker in one process."""
-        row_of = {ordered[j].commit_id: j for j in train}
-        labels = {i: ordered[j].label for i, j in row_of.items()}
-        balanced = sorted(undersample(row_of, labels, config.seed))
-        # At full-scale widths a lone model's heads sum in another order
-        # than a stacked model's, so the cut keeps each part at two models
-        # or more (the M = 1 versus M > 1 layout in the README).
-        stack = ("none", *config.early_strategies)
-        half = len(stack) // 2 if len(stack) >= 4 else 0
-
-        def forest():
-            return train_forest(x_all[[row_of[i] for i in balanced]],
-                                np.array([labels[i] for i in balanced]),
-                                ForestConfig(n_trees=config.forest_trees), seed=config.seed)
-
-        def deep(part):
-            with _one_blas_thread():
-                return train_deep(train_ds, val_ds, len(vocab), deep_cfg, seed=config.seed,
-                                  strategy=part)
-
-        (sim, trained), more = _beside(lambda: (forest(), deep(stack[:half]) if half else []),
-                                       lambda: deep(stack[half:]),
-                                       alone=lambda: ((forest(), []), deep(stack)))
-        trained += more
-        save_forest(out / "sim_forest.ckpt", sim)
-        names = ["com"] + [f"fused_{s}" for s in config.early_strategies]
-        for name, (params, log) in zip(names, trained):
-            save_params(out / f"{name}.ckpt", params)
-            write_train_log(out / f"{name}_train_log.csv", log)
-        return sim, stack_params([params for params, _ in trained])
-
-    sim, deep_params = _stage("train", _train_models)
+    sim, deep_params = _stage("train", _train, ordered, x_all, train, datasets, len(vocab),
+                              config, out)
     notes.append("train: sim on undersampled train; deep models on train with "
                  "validation-based checkpoint selection")
     if until == "train":
-        return
+        return notes
+    best = _stage("sweep", _sweep, sim, deep_params, x_all[val], datasets[1], config, out)
+    _stage("bundle", _write_bundle, best, stats, len(vocab), config, provenance, out)
+    notes.append(f"sweep: 20-cell sweep on validation AUC-PR; chose early={best.early} "
+                 f"late={best.late}")
+    if until == "sweep":
+        return notes
+    _stage("evaluate", _evaluate, sim, deep_params, best, x_all[test], datasets[2], config,
+           provenance, out)
+    notes.append("evaluate: test labels read here, first and only time")
+    return notes
 
-    def _sweep():
-        val_scores = _model_scores(forest_predict_many(sim, x_all[val]), deep_params, deep_cfg,
-                                   config.early_strategies, val_ds)
-        result = fusion.sweep_combinations(
-            val_ds.labels, val_scores["sim"], val_scores["com"],
-            {s: val_scores[f"fused_{s}"] for s in config.early_strategies})
-        fusion.write_sweep_log(out / "sweep_log.csv", result)
-        return result
 
-    sweep = _stage("sweep", _sweep)
-    best = sweep.best
+def _features(ordered, features, config, cfg_hash, provenance, train, out) -> TrainStats:
+    """Make the run directory, write its tables, and fit the z-stats."""
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "config.json", {"config": config.as_dict(), "hash": cfg_hash, "seed": config.seed})
+    write_feature_table(out / "features.csv", ordered, features)
+    (out / "train_ids.txt").write_text("\n".join(ordered[j].commit_id for j in train) + "\n",
+                                       encoding="utf-8")
+    return fit_train_stats(features.matrix[train], split="train", provenance=provenance)
+
+
+def _vocab(ordered, x_all, stats, rows, config, out) -> tuple:
+    """(vocab, datasets): the train documents' vocabulary and the splits it encodes."""
+    vocab = build_vocab(_train_documents(ordered[j] for j in rows[0]), config.vocab_max_size,
+                        config.vocab_min_frequency)
+    save_vocab(out / "vocab.txt", vocab)
+    x_cat, x_cont = normalize_features(x_all, stats)
+    shape = config.text_shape()
+    return vocab, [_dataset([ordered[j] for j in r], vocab, shape, x_cat[r], x_cont[r]) for r in rows]
+
+
+def _train(ordered, x_all, train, datasets, vocab_size, config, out) -> tuple:
+    """(forest, stacked deep params of the commit model and one early-fused
+    model per strategy). From four models on, a worker fits the forest and
+    trains the first half of the stack while this process trains the rest;
+    below that it fits only the forest. Deep training holds one BLAS thread,
+    so no process takes the other's core and no sum depends on where a model
+    trains. Without a worker the stack trains in one call."""
+    train_ds, val_ds, _ = datasets
+    row_of = {ordered[j].commit_id: j for j in train}
+    labels = {i: ordered[j].label for i, j in row_of.items()}
+    balanced = sorted(undersample(row_of, labels, config.seed))
+    # At full-scale widths a lone model's heads sum in another order
+    # than a stacked model's, so the cut keeps each part at two models
+    # or more (the M = 1 versus M > 1 layout in the README).
+    stack = ("none", *config.early_strategies)
+    half = len(stack) // 2 if len(stack) >= 4 else 0
+
+    def forest():
+        return train_forest(x_all[[row_of[i] for i in balanced]],
+                            np.array([labels[i] for i in balanced]),
+                            ForestConfig(n_trees=config.forest_trees), seed=config.seed)
+
+    def deep(part):
+        with _one_blas_thread():
+            return train_deep(train_ds, val_ds, vocab_size, config.deep_config(), seed=config.seed,
+                              strategy=part)
+
+    (sim, trained), more = _beside(lambda: (forest(), deep(stack[:half]) if half else []),
+                                   lambda: deep(stack[half:]),
+                                   alone=lambda: ((forest(), []), deep(stack)))
+    trained += more
+    save_forest(out / "sim_forest.ckpt", sim)
+    names = ["com"] + [f"fused_{s}" for s in config.early_strategies]
+    for name, (params, log) in zip(names, trained):
+        save_params(out / f"{name}.ckpt", params)
+        write_train_log(out / f"{name}_train_log.csv", log)
+    return sim, stack_params([params for params, _ in trained])
+
+
+def _sweep(sim, deep_params, x_val, val_ds, config, out):
+    """The best cell of the 20-cell fusion sweep on the validation split."""
+    val_scores = _model_scores(forest_predict_many(sim, x_val), deep_params, config.deep_config(),
+                               config.early_strategies, val_ds)
+    result = fusion.sweep_combinations(
+        val_ds.labels, val_scores["sim"], val_scores["com"],
+        {s: val_scores[f"fused_{s}"] for s in config.early_strategies})
+    fusion.write_sweep_log(out / "sweep_log.csv", result)
+    return result.best
+
+
+def _write_bundle(best, stats, vocab_size, config, provenance, out) -> None:
+    """The chosen fusion, its artifacts' checksums, the z-stats and shapes."""
     artifacts = {"sim": "sim_forest.ckpt", "com": "com.ckpt", "vocab": "vocab.txt",
                  "features": "features.csv", "train_ids": "train_ids.txt"}
     if best.early != "none":
         artifacts["early_model"] = f"fused_{best.early}.ckpt"
-    manifest = {
+    _write_json(out / "bundle.json", {
         "format": BUNDLE_FORMAT,
         "provenance": provenance,
         "early": best.early,
         "late": best.late,
-        "weights": None if best.weights is None else list(best.weights),
+        "weights": best.weights,
         "artifacts": artifacts,
         "checksums": {k: _sha256_file(out / v) for k, v in artifacts.items()},
         "stats": {"mean": list(stats.mean), "std": list(stats.std), "split": stats.split,
                   "provenance": stats.provenance},
-        "deep_config": asdict(deep_cfg) | {"windows": list(deep_cfg.windows)},
-        "text_shape": asdict(shape),
-        "vocab_size": len(vocab),
-    }
-    _write_json(out / "bundle.json", manifest)
-    notes.append(f"sweep: 20-cell sweep on validation AUC-PR; chose early={best.early} "
-                 f"late={best.late}")
-    if until == "sweep":
-        return
+        "deep_config": asdict(config.deep_config()),
+        "text_shape": asdict(config.text_shape()),
+        "vocab_size": vocab_size,
+    })
 
-    def _evaluate():
-        y_test = test_ds.labels
-        scores = _model_scores(forest_predict_many(sim, x_all[test]), deep_params, deep_cfg,
-                               config.early_strategies, test_ds)
-        scores["bundle"] = fusion.apply_bundle_rule(best.early, best.late, best.weights, scores["sim"],
-                                                    scores["com"], scores.get(f"fused_{best.early}"))
 
-        reports = {name: prf1(vals, y_test) for name, vals in scores.items()}
-        classes = {name: (vals > 0.5).astype(int) for name, vals in scores.items()}
-        analysis = {
-            "overlap_sim_vs_com": asdict(overlap_analysis(classes["sim"], classes["com"], y_test)),
-            "correction_bundle_vs_sim": asdict(
-                correction_analysis(classes["bundle"], classes["sim"], y_test)),
-            "correction_bundle_vs_com": asdict(
-                correction_analysis(classes["bundle"], classes["com"], y_test)),
-        }
-        try:
-            stat, p = wilcoxon_signed_rank(scores["sim"], scores["com"])
-            analysis["wilcoxon_sim_vs_com_scores"] = {"statistic": stat, "p_value": p}
-        except ValueError as exc:
-            analysis["wilcoxon_sim_vs_com_scores"] = {"error": str(exc)}
-        try:
-            groups = {}
-            for name in ("sim", "com", "bundle"):
-                rocs, prs, _ = group_metric_samples(scores[name], y_test, k=10, seed=config.seed)
-                groups[name] = {"auc_roc": rocs, "auc_pr": prs}
-            analysis["group_samples"] = groups
-            for comp in ("sim", "com"):
-                delta, mag = cliffs_delta(groups["bundle"]["auc_pr"], groups[comp]["auc_pr"])
-                analysis[f"cliffs_delta_bundle_vs_{comp}_auc_pr"] = {"delta": delta, "magnitude": mag}
-        except ValueError as exc:
-            analysis["group_samples"] = {"error": str(exc)}
+def _evaluate(sim, deep_params, best, x_test, test_ds, config, provenance, out) -> None:
+    """Score the test split with every model and the bundle, and report."""
+    y_test = test_ds.labels
+    scores = _model_scores(forest_predict_many(sim, x_test), deep_params, config.deep_config(),
+                           config.early_strategies, test_ds)
+    scores["bundle"] = fusion.apply_bundle_rule(best.early, best.late, best.weights, scores["sim"],
+                                                scores["com"], scores.get(f"fused_{best.early}"))
 
-        write_csv(out / "metrics.csv", ",".join(["model", *(f.name for f in fields(MetricReport))]),
-                  ([name, *astuple(reports[name])] for name in sorted(reports)))
-        _write_json(out / "metrics.json", {
-            "provenance": provenance,
-            "reports": {k: asdict(v) for k, v in sorted(reports.items())},
-            "analysis": analysis,
-        })
-        names = sorted(scores)
-        write_csv(out / "predictions.csv", ",".join(["commit_id", "label", *names]),
-                  zip(test_ds.commit_ids, y_test.tolist(), *(scores[n].tolist() for n in names)))
+    reports = {name: prf1(vals, y_test) for name, vals in scores.items()}
+    classes = {name: (vals > 0.5).astype(int) for name, vals in scores.items()}
+    analysis = {"overlap_sim_vs_com": asdict(overlap_analysis(classes["sim"], classes["com"], y_test))}
+    for comp in ("sim", "com"):
+        analysis[f"correction_bundle_vs_{comp}"] = asdict(
+            correction_analysis(classes["bundle"], classes[comp], y_test))
+    try:
+        stat, p = wilcoxon_signed_rank(scores["sim"], scores["com"])
+        analysis["wilcoxon_sim_vs_com_scores"] = {"statistic": stat, "p_value": p}
+    except ValueError as exc:
+        analysis["wilcoxon_sim_vs_com_scores"] = {"error": str(exc)}
+    try:
+        groups = {}
+        for name in ("sim", "com", "bundle"):
+            rocs, prs, _ = group_metric_samples(scores[name], y_test, k=10, seed=config.seed)
+            groups[name] = {"auc_roc": rocs, "auc_pr": prs}
+        analysis["group_samples"] = groups
+        for comp in ("sim", "com"):
+            delta, mag = cliffs_delta(groups["bundle"]["auc_pr"], groups[comp]["auc_pr"])
+            analysis[f"cliffs_delta_bundle_vs_{comp}_auc_pr"] = {"delta": delta, "magnitude": mag}
+    except ValueError as exc:
+        analysis["group_samples"] = {"error": str(exc)}
 
-    _stage("evaluate", _evaluate)
-    notes.append("evaluate: test labels read here, first and only time")
+    write_csv(out / "metrics.csv", ",".join(["model", *(f.name for f in fields(MetricReport))]),
+              ([name, *astuple(reports[name])] for name in sorted(reports)))
+    _write_json(out / "metrics.json", {
+        "provenance": provenance,
+        "reports": {k: asdict(v) for k, v in sorted(reports.items())},
+        "analysis": analysis,
+    })
+    names = sorted(scores)
+    write_csv(out / "predictions.csv", ",".join(["commit_id", "label", *names]),
+              zip(test_ds.commit_ids, y_test.tolist(), *(scores[n].tolist() for n in names)))
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,23 @@ class TestExitCodes:
         assert code == 2
         assert f"line 2: field '{field}' must be a string" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("case", ["directory", "bad byte"])
+    def test_unreadable_corpus_is_data_error(self, run_dir, tmp_path, corpus_path, command, case,
+                                             capsys):
+        if case == "directory":
+            corpus, reason = tmp_path, f"cannot read {tmp_path}: Is a directory"
+        else:
+            corpus, reason = tmp_path / "bad.jsonl", "line 3: not UTF-8 text (invalid start byte)"
+            lines = corpus_path.read_bytes().splitlines(keepends=True)
+            corpus.write_bytes(b"".join(lines[:2]) + b"\xff\n" + b"".join(lines[3:]))
+        args = (["evaluate", "--out", str(tmp_path / "o")] if command == "evaluate"
+                else ["predict", "--bundle", str(run_dir / "bundle.json")])
+        assert main([*args, "--corpus", str(corpus)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f": {reason}\n") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_training_failure_is_exit_three(self, tmp_path, corpus_path, monkeypatch):
         import jitdp.pipeline as pipeline
         from jitdp.deep_model import TrainingError
@@ -446,6 +463,39 @@ class TestOutputPaths:
         code = main(["evaluate", "--config", str(cfg)])
         self._assert_usage_error(code, capsys, out)
         assert out.read_text() == "kept\n"
+
+
+class TestArtifactWriteFailures:
+    """An artifact path that cannot be written, at any stage, is one line
+    naming the stage and the path, and exit 1."""
+
+    @staticmethod
+    def _assert_one_line(code, capsys, path):
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("stage '") and f"cannot write {path}: " in lines[0]
+
+    @pytest.mark.parametrize("name", ["config.json", "vocab.txt", "bundle.json", "metrics.json",
+                                      "provenance.log"])
+    def test_artifact_path_taken_by_a_directory(self, tmp_path, corpus_path, capsys, name):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"corpus": str(corpus_path), "out": str(out), **SMALL,
+                                   "epochs": 1}))
+        self._assert_one_line(main(["evaluate", "--config", str(cfg)]), capsys, out / name)
+
+    def test_drop_directory_taken_by_a_file(self, tmp_path, corpus_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "drop_0.1").write_text("kept\n")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"corpus": str(corpus_path), "out": str(out), **SMALL,
+                                   "epochs": 1}))
+        code = main(["drop-experiment", "--config", str(cfg), "--rates", "0.1"])
+        self._assert_one_line(code, capsys, out / "drop_0.1")
+        assert (out / "drop_0.1").read_text() == "kept\n"
 
 
 class TestDropExperiment:

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,20 @@ class TestLoadStream:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_commit_stream(tmp_path / "absent.jsonl")
+
+    def test_directory_rejected_as_unreadable(self, tmp_path):
+        with pytest.raises(DataError, match=rf"^cannot read {re.escape(str(tmp_path))}: Is a directory$"):
+            load_commit_stream(tmp_path)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, newline):
+        """Line 2 is blank, line 3 holds the bad byte: lines are counted as
+        the text-mode read counts them, whichever line ending the file uses."""
+        path = tmp_path / "c.jsonl"
+        lines = [_minimal_line("c1").encode(), b"", b'{"commit_id": "\xff"}', _minimal_line("c2").encode()]
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(DataError, match=r"^line 3: not UTF-8 text \(invalid start byte\)$"):
+            load_commit_stream(path)
 
     def test_unknown_keys_ignored(self, tmp_path):
         obj = json.loads(_minimal_line())

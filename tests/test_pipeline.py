@@ -3,11 +3,14 @@ k-fold runs and bundle round-trips."""
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jitdp import pipeline
 from jitdp.corpus import (
+    DataError,
     SyntheticSpec,
     chronological_split,
     load_commit_stream,
@@ -105,6 +108,33 @@ class TestBundleRoundTrip:
                 assert head
                 for name, value in head.items():
                     assert value is b.deep_params[name if count == 1 else f"{m}:{name}"]
+
+
+class _Killed(BaseException):
+    """A kill between two artifact writes: no stage catches it."""
+
+
+class TestInterruptedRun:
+    def test_rerun_killed_before_its_bundle_leaves_no_valid_bundle(self, corpus_file, tmp_path,
+                                                                   monkeypatch):
+        """A finished run's directory, rerun at another seed and killed as
+        bundle.json is written, holds the new run's models beside the old
+        run's manifest: loading it is a data error, by the checksums."""
+        config = RunConfig(corpus=str(corpus_file), out=str(tmp_path / "o"), seed=1, **TINY)
+        run_pipeline(config)
+        load_bundle(tmp_path / "o" / "bundle.json")
+        write_json = pipeline._write_json
+
+        def killed_at_bundle(path, obj):
+            if Path(path).name == "bundle.json":
+                raise _Killed
+            write_json(path, obj)
+
+        monkeypatch.setattr(pipeline, "_write_json", killed_at_bundle)
+        with pytest.raises(_Killed):
+            run_pipeline(dataclasses.replace(config, seed=2))
+        with pytest.raises(DataError, match="provenance mismatch: artifact"):
+            load_bundle(tmp_path / "o" / "bundle.json")
 
 
 class TestSplitRows:
