@@ -185,11 +185,10 @@ def load_commit_stream(path) -> list[CommitRecord]:
     Raises DataError naming the offending line and field for schema
     violations, for duplicate commit ids, for a commit id holding a comma,
     carriage return or line feed, which would break the CSV artifacts that
-    list it, and for a line that is not UTF-8. A file that is missing or
-    cannot be opened is a DataError naming it.
+    list it, and for a line that is not UTF-8; of several bad lines the
+    first in file order is named, whatever its fault. A file that is
+    missing or cannot be opened is a DataError naming it.
     """
-    records = []
-    seen = set()
     try:
         handle = open(path, encoding="utf-8")
     except FileNotFoundError as exc:
@@ -198,28 +197,43 @@ def load_commit_stream(path) -> list[CommitRecord]:
         raise DataError(f"cannot read {exc.filename}: {exc.strerror}") from exc
     with handle:
         try:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                rec = parse_commit_line(line, line_no)
-                if rec.commit_id in seen:
-                    raise DataError(f"line {line_no}: duplicate commit_id '{rec.commit_id}'")
-                if not _CSV_BREAKERS.isdisjoint(rec.commit_id):
-                    raise DataError(f"line {line_no}: field 'commit_id' must not contain a comma, "
-                                    f"carriage return or line feed: {rec.commit_id!r}")
-                seen.add(rec.commit_id)
-                records.append(rec)
-        except UnicodeDecodeError as exc:
-            raise DataError(f"line {_undecodable_line(path)}: not UTF-8 text ({exc.reason})") from exc
+            return _read_records(handle, escaped=False)
+        except UnicodeDecodeError:
+            pass
+    # Not UTF-8: read again with each byte that does not decode escaped to a
+    # lone surrogate, so that the first bad line in file order raises,
+    # whatever its fault.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        return _read_records(handle, escaped=True)
+
+
+def _read_records(handle, escaped: bool) -> list[CommitRecord]:
+    records = []
+    seen = set()
+    for line_no, line in enumerate(handle, start=1):
+        if escaped:
+            _undecodable_line(line, line_no)
+        if not line.strip():
+            continue
+        rec = parse_commit_line(line, line_no)
+        if rec.commit_id in seen:
+            raise DataError(f"line {line_no}: duplicate commit_id '{rec.commit_id}'")
+        if not _CSV_BREAKERS.isdisjoint(rec.commit_id):
+            raise DataError(f"line {line_no}: field 'commit_id' must not contain a comma, "
+                            f"carriage return or line feed: {rec.commit_id!r}")
+        seen.add(rec.commit_id)
+        records.append(rec)
     return records
 
 
-def _undecodable_line(path) -> int:
-    """The number of the file's first line that is not UTF-8. It is read as
-    text again, with lines counted as load_commit_stream counts them, and
-    each byte that does not decode escaped to a lone surrogate."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        return next(n for n, line in enumerate(handle, start=1) if _ESCAPED_BYTE.search(line))
+def _undecodable_line(line: str, line_no: int) -> None:
+    """Raise the DataError of a line read with its undecodable bytes escaped,
+    if it holds one; the reason comes from decoding the line's bytes again."""
+    if _ESCAPED_BYTE.search(line):
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"line {line_no}: not UTF-8 text ({exc.reason})") from exc
 
 
 def commit_to_json(rec: CommitRecord) -> str:

@@ -300,17 +300,6 @@ def _check_sorted(corpus, after=None) -> None:
         raise DataError(f"commit {keys[0][1]} is not later than the history's last commit")
 
 
-def history_snapshots(corpus):
-    """Yield (commit, index) pairs in one chronological pass; the yielded
-    index reflects exactly the commits before the current one. The index is
-    shared and mutated between steps, so consume it before advancing."""
-    _check_sorted(corpus)
-    index = HistoryIndex()
-    for commit in corpus:
-        yield commit, index
-        index.update(commit)
-
-
 def featurize_corpus(corpus, history: HistoryIndex | None = None) -> FeatureTable:
     """commit_id -> HandCraftedVector for a chronologically sorted corpus,
     backed by its (n, 14) feature matrix in corpus order. Given a history

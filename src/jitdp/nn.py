@@ -47,18 +47,11 @@ def embedding_forward(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def embedding_backward(d_out: np.ndarray, ids: np.ndarray, vocab_size: int) -> np.ndarray:
-    return _scatter_rows(d_out, ids, vocab_size)
-
-
-def _scatter_rows(values: np.ndarray, at: np.ndarray, n_rows: int) -> np.ndarray:
-    """(n_rows, d) sums of the d-vectors of values by their row index in at,
-    by one np.bincount over a key array as large as values: bin at * d + c
-    accumulates from 0.0 in entry order, as np.add.at on rows would. It
-    sums embedding gradients per token id and, for vector input, the
-    textCNN's window entries per position."""
-    dim = values.shape[-1]
-    flat = (at.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
-    return np.bincount(flat, weights=values.reshape(-1), minlength=n_rows * dim).reshape(n_rows, dim)
+    """The dense (vocab_size, d) table gradient: _sum_rows of d_out by token id."""
+    grad = _sum_rows(d_out.reshape(-1, d_out.shape[-1]), ids.reshape(-1), vocab_size)
+    dense = np.zeros((vocab_size, d_out.shape[-1]))
+    dense[grad.rows] = grad.sums
+    return dense
 
 
 class RowGrad(NamedTuple):
@@ -74,8 +67,10 @@ _ROW_SUM_COLUMNS = 8
 
 
 def _sum_rows(values: np.ndarray, at: np.ndarray, n_rows: int) -> RowGrad:
-    """_scatter_rows(values, at, n_rows) as the RowGrad of the rows at hits, same bits,
-    summed a chunk of columns at a time (np.add.reduceat would sum long runs pairwise)."""
+    """The sums of the d-vectors of values by their row index in at, as the
+    RowGrad of the rows at hits, each row's added from 0.0 in entry order as
+    np.add.at would: one np.bincount per chunk of columns over one key array
+    of len(at) x chunk entries (np.add.reduceat would sum long runs pairwise)."""
     hit = np.bincount(at, minlength=n_rows) > 0
     rows, slot = np.flatnonzero(hit), (np.cumsum(hit) - 1)[at]
     step, width = min(_ROW_SUM_COLUMNS, values.shape[1]), values.shape[1]
@@ -108,12 +103,12 @@ def _sum_rows(values: np.ndarray, at: np.ndarray, n_rows: int) -> RowGrad:
 # window starting at p is the sum over j of tap j's response at p + j.
 # Max-pooling keeps one window per filter, so the backward pass touches only
 # those: dW gathers the k input rows of each argmax window (one einsum per
-# bank), and the input gradient of window entry (f, j) is d_pre * w[f, j] at
-# position arg + j. For vector input every entry goes into one value block,
-# summed per position by one np.bincount. For token ids each filter of each
-# bank in turn adds its entries straight into the touched positions, which
-# is the same additions in the same order with no (entries x d_in) value or
-# key array. Every sum runs over one model's block in the order a lone
+# bank), and the input gradient of window entry (f, j) is d_pre * w[f, j]
+# at position arg + j. Each filter of each bank in turn adds its entries
+# straight into the touched positions: the additions of one np.bincount
+# over every entry, in the same order, with no (entries x d_in) value or
+# key array. Vectors get those sums at their positions; token ids sum them
+# per token id. Every sum runs over one model's block in the order a lone
 # model's would, so each model gets a lone model's bits.
 #
 # Token-id input (B, L) keeps the ids, not embedded vectors, in the cache,
@@ -352,14 +347,13 @@ def textcnn_forward(params: Params, prefix: str, x: np.ndarray,
 
 
 def textcnn_backward(params: Params, cache, d_z: np.ndarray):
-    """Returns (d_input, grads). For vector input d_input is the gradient
-    w.r.t. the input vectors, trimmed to the original length, summed per
-    position by one np.bincount over the argmax-window entries (bank, m, b,
-    f, j) in order. For token-id input it is the RowGrad of the embedding
-    table's (V * M, d_in) view: each touched window position gets the same
-    sum, added filter by filter without an entry-sized array, and those
-    sums go to their token ids in position order, the same bits as
-    embedding_backward of the dense gradient w.r.t. the embedded tokens."""
+    """Returns (d_input, grads). Each window position that an argmax window
+    touches gets the sum of its entries' input gradients, added filter by
+    filter in entry order (bank, m, b, f, j). For vector input d_input is
+    the gradient w.r.t. the input vectors, trimmed to the original length;
+    for token-id input it is the RowGrad of the embedding table's (V * M,
+    d_in) view, the sums going to their token ids in position order: the
+    same bits as embedding_backward of the dense input gradient."""
     x, ids, table = cache["x"], cache["ids"], cache["embedding"]
     prefix, banks, models = cache["prefix"], cache["banks"], cache["models"]
     batch, length = ids.shape if x is None else x.shape[:2]
@@ -370,15 +364,13 @@ def textcnn_backward(params: Params, cache, d_z: np.ndarray):
     grads = {}
     rows = np.arange(batch)[:, None, None]
     model = np.arange(models)[:, None, None, None]
-    # Window entries (bank, m, b, f, j) of every argmax window: their key
-    # (position * M + m) and their input gradient d_pre * w[f, j] in block m,
-    # in one value block for vector input; id input keeps each bank's keys,
-    # d_pre and w_m for the filter-by-filter sum.
-    entries = sum(k * arg.size for k, arg, _ in banks)
-    keys = np.empty(entries, dtype=np.int64)
-    values = None if x is None else np.empty((entries, d_in))
+    # Each bank's window entries (m, b, f, j): their key (position * M + m),
+    # marked in hit, their d_pre and w_m, w in model blocks, whose product is
+    # their input gradient d_pre * w[f, j] in block m. All three are kept
+    # filter-major, so that each step below reads contiguous slots.
+    hit = np.zeros(batch * length * models, dtype=bool)
     terms = []
-    col = start = 0
+    col = 0
     for k, arg, pre_at_max in banks:
         w = params[f"{prefix}.w{k}"]
         n_k = w.shape[0]
@@ -396,44 +388,36 @@ def textcnn_backward(params: Params, cache, d_z: np.ndarray):
                                              else source[rows, at, model])
                                    .transpose(1, 2, 0, 3).reshape(w.shape))
         grads[f"{prefix}.b{k}"] = d_pre.sum(axis=1).reshape(-1)
-        stop = start + at.size
-        bank_keys = keys[start:stop].reshape(at.shape)
-        np.add((rows * length + at) * models, model, out=bank_keys)
-        w_m = w.reshape(n_k, k, models, d_in).transpose(2, 0, 1, 3)[:, None]
-        if x is None:
-            terms.append((bank_keys, d_pre, w_m))
-        else:
-            np.multiply(d_pre[..., None, None], w_m, out=values[start:stop].reshape(*at.shape, d_in))
-        start = stop
-    if x is None:
-        # Sum per window position in entry order, then per token id in
-        # position order: embedding_backward's additions, zeros left out.
-        # The touched positions ascending and each position's slot among
-        # them, as np.unique(keys, return_inverse=True) gives them, without
-        # a sort.
-        hit = np.zeros(batch * length * models, dtype=bool)
+        keys = np.add((rows * length + at) * models, model, out=at)
         hit[keys] = True
-        touched = np.flatnonzero(hit)
-        slot = np.cumsum(hit) - 1
-        # One filter of one bank per step, banks then filters in order: a
-        # filter's k entries in a row lie at distinct positions, so a step
-        # adds to distinct slots, and each slot gets its entries from 0.0 in
-        # the order np.bincount over the entries would add them. Rows go
-        # back through a one-element-per-row view, which numpy assigns about
-        # twice as fast as rows of d_in floats at desk widths.
-        d_windows = np.zeros((len(touched), d_in))
-        whole_rows = d_windows.view(np.dtype((np.void, d_windows.itemsize * d_in)))[:, 0]
-        for bank_keys, d_pre, w_m in terms:
-            slots = slot.take(bank_keys)
-            for f in range(d_pre.shape[2]):
-                at = slots[:, :, f]
-                step = d_windows.take(at, axis=0)
-                step += d_pre[:, :, f, None, None] * w_m[:, :, f]
-                whole_rows[at] = step.view(whole_rows.dtype)[..., 0]
+        terms.append((keys.transpose(2, 0, 1, 3), d_pre.transpose(2, 0, 1)[..., None, None],
+                      w.reshape(n_k, k, models, d_in).transpose(0, 2, 1, 3)[:, :, None]))
+    # The touched positions ascending and each position's slot among them,
+    # as np.unique(keys, return_inverse=True) gives them, without a sort.
+    touched = np.flatnonzero(hit)
+    slot = np.cumsum(hit) - 1
+    # One filter of one bank per step, banks then filters in order: a
+    # filter's k entries in a row lie at distinct positions, so a step adds
+    # to distinct slots, and each slot gets its entries from 0.0 in the
+    # order np.bincount over the entries would add them. Rows go back
+    # through a one-element-per-row view, which numpy assigns about twice as
+    # fast as rows of d_in floats at desk widths.
+    d_windows = np.zeros((len(touched), d_in))
+    whole_rows = d_windows.view(np.dtype((np.void, d_windows.itemsize * d_in)))[:, 0]
+    for keys, d_pre, w_m in terms:
+        for at, d_f, w_f in zip(slot.take(keys), d_pre, w_m):
+            step = d_windows.take(at, axis=0)
+            step += d_f * w_f
+            whole_rows[at] = step.view(whole_rows.dtype)[..., 0]
+    if x is None:
+        # per token id in position order: embedding_backward's additions,
+        # the untouched positions' zeros left out
         position, model = np.divmod(touched, models)
         return _sum_rows(d_windows, ids.reshape(-1)[position] * models + model,
                          len(table) * models), grads
-    d_x = _scatter_rows(values, keys, batch * length * models).reshape(x.shape)[:, : cache["orig_len"]]
+    d_x = np.zeros((batch * length * models, d_in))
+    d_x[touched] = d_windows
+    d_x = d_x.reshape(x.shape)[:, : cache["orig_len"]]
     if ids is not None:
         at = (ids[..., None] * models + np.arange(models)).reshape(-1)
         return _sum_rows(d_x.reshape(-1, d_in), at, len(table) * models), grads

@@ -70,6 +70,7 @@ from .explain import explain_instance
 # split_and_normalize is not called here; perfbench/spans.py wraps it in this namespace.
 from .features import (  # noqa: F401
     FEATURE_NAMES,
+    TABLE_HEADER,
     HistoryIndex,
     TrainStats,
     featurize_corpus,
@@ -913,14 +914,15 @@ def explain_commit(bundle: LoadedBundle, corpus, commit_id: str,
 
 
 def read_feature_table(path) -> tuple:
-    """(ids, matrix, labels) from a features.csv written by the pipeline."""
+    """(ids, matrix, labels) from a features.csv in write_feature_table's layout."""
+    label = 1 + len(FEATURE_NAMES)
     with open(path, encoding="utf-8") as handle:
-        if handle.readline().strip().split(",")[0] != "commit_id":
-            raise DataError(f"{path} is not a feature table: its header must start with commit_id")
+        if handle.readline().rstrip("\n") != TABLE_HEADER:
+            raise DataError(f"{path} is not a feature table: its header must be {TABLE_HEADER}")
         ids, rows, labels = [], [], []
         for line in handle:
             parts = line.rstrip("\n").split(",")
             ids.append(parts[0])
-            rows.append([float(v) for v in parts[1:15]])
-            labels.append(None if parts[15] == "" else int(parts[15]))
+            rows.append([float(v) for v in parts[1:label]])
+            labels.append(None if parts[label] == "" else int(parts[label]))
     return ids, np.array(rows), labels

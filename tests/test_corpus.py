@@ -170,6 +170,16 @@ class TestLoadStream:
         with pytest.raises(DataError, match=r"^line 3: not UTF-8 text \(invalid start byte\)$"):
             load_commit_stream(path)
 
+    @pytest.mark.parametrize("first, second, reason", [
+        (b"{bad", b"{}", r"line 1: invalid JSON \(.+\)"),
+        (_minimal_line("c1").encode(), _minimal_line("c1").encode(), r"line 2: duplicate commit_id 'c1'"),
+    ], ids=["malformed", "duplicate id"])
+    def test_bad_line_before_a_bad_byte_is_named_first(self, tmp_path, first, second, reason):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(first + b"\n" + second + b"\n\xff\n")
+        with pytest.raises(DataError, match=rf"^{reason}$"):
+            load_commit_stream(path)
+
     def test_unknown_keys_ignored(self, tmp_path):
         obj = json.loads(_minimal_line())
         obj["branch"] = "main"

@@ -18,6 +18,7 @@ from jitdp import features
 from jitdp.corpus import CommitRecord, DataError, FileChange
 from jitdp.features import (
     FEATURE_NAMES,
+    TABLE_HEADER,
     HandCraftedVector,
     HistoryIndex,
     TrainStats,
@@ -26,7 +27,6 @@ from jitdp.features import (
     feature_matrix,
     featurize_corpus,
     fit_train_stats,
-    history_snapshots,
     normalize_features,
     split_and_normalize,
     write_feature_table,
@@ -170,8 +170,9 @@ class TestExtractFeatures:
             extract_features(CommitRecord("x", 1, "a", "m", ()), HistoryIndex())
 
     def test_la_ld_are_sums_over_files(self, fixture_corpus):
-        for commit, index in history_snapshots(fixture_corpus):
-            vec = extract_features(commit, index)
+        vectors = featurize_corpus(fixture_corpus)
+        for commit in fixture_corpus:
+            vec = vectors[commit.commit_id]
             assert vec.la == sum(len(f.added_lines) for f in commit.files)
             assert vec.ld == sum(len(f.removed_lines) for f in commit.files)
 
@@ -195,7 +196,7 @@ class TestHistoryIndex:
     def test_unsorted_corpus_rejected(self, fixture_corpus):
         broken = [fixture_corpus[3], fixture_corpus[0]]
         with pytest.raises(DataError):
-            list(history_snapshots(broken))
+            featurize_corpus(broken)
 
     def test_per_path_change_counts_match_prefix_recount(self, fixture_corpus):
         index = HistoryIndex()
@@ -357,6 +358,15 @@ class TestFeatureTable:
         assert labels == [c.label for c in labeled]
         for i, c in enumerate(labeled):
             assert np.array_equal(matrix[i], vectors[c.commit_id].as_array())
+
+    @pytest.mark.parametrize("header", ["commit_id,ns,nd", "commit_id", TABLE_HEADER + ",extra",
+                                        TABLE_HEADER.replace(",ns,", ",files,")],
+                             ids=["short", "ids only", "extra column", "renamed column"])
+    def test_other_header_rejected(self, tmp_path, header):
+        path = tmp_path / "features.csv"
+        path.write_text(header + "\nc1,1,2\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))} is not a feature table"):
+            read_feature_table(path)
 
 
 # ---------------------------------------------------------------------------
