@@ -290,7 +290,10 @@ def train_deep(train_ds: DeepDataset, val_ds: DeepDataset, vocab_size: int,
     A tuple of strategies trains one model per strategy in lockstep, as a
     stack, and returns one (params, log) per strategy. Each model draws its
     initial parameters and its dropout from its own generators and shares
-    the batch order. Full-scale bits depend on BLAS threads and on M = 1 or M > 1.
+    the batch order. Training runs in a thread region (nn.threads): one
+    BLAS thread on every path and, on 2 or more CPUs, the packed pool's
+    chunks and Adam's blocks on a second thread, which keeps every bit.
+    Full-scale bits depend on M = 1 or M > 1.
     """
     if len(val_ds) == 0:
         raise TrainingError("validation split is empty")
@@ -314,37 +317,38 @@ def train_deep(train_ds: DeepDataset, val_ds: DeepDataset, vocab_size: int,
     best_params = [None] * count
     best_mean = [-np.inf] * count
     n = len(train_ds)
-    for epoch in range(cfg.epochs):
-        perm = order_rng.permutation(n)
-        losses = []
-        for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
-            take = perm[start : start + cfg.batch_size]
-            probs, _, _, cache = forward_batch(
-                params, cfg, train_ds.message_ids[take], train_ds.file_ids[take],
-                train_ds.x_cat[take], train_ds.x_cont[take],
-                strategy=strategies, training=True, rng=drop_rngs)
-            labels = train_ds.labels[take]
-            steps = [nn.cross_entropy_batch(p, labels, class_weights) for p in probs]
-            for s, (loss, _) in zip(strategies, steps):
-                if not np.isfinite(loss):
-                    raise TrainingError(f"non-finite loss at epoch {epoch} batch {b_idx}"
-                                        + ("" if isinstance(strategy, str) else f" ({s})"))
-            grads = backward_batch(params, cache, [d_logits for _, d_logits in steps])
-            nn.adam_step(adam, params, grads)
-            losses.append([loss for loss, _ in steps])
-            # this step's arrays go before the next step's are made
-            del probs, cache, steps, grads
-        val_scores = score_dataset(params, cfg, val_ds, strategies)
-        for m, log in enumerate(logs):
-            report = prf1(val_scores[:, m], val_ds.labels)
-            entry = TrainLogEntry(epoch=epoch, train_loss=float(np.mean([s[m] for s in losses])),
-                                  val_auc_roc=report.auc_roc, val_auc_pr=report.auc_pr,
-                                  val_f1=report.f1)
-            log.append(entry)
-            if entry.metric_mean > best_mean[m]:
-                best_mean[m] = entry.metric_mean
-                best_params[m] = None  # the old snapshot goes before the new one is made
-                best_params[m] = model_params(params, count, m)
+    with nn.threads():
+        for epoch in range(cfg.epochs):
+            perm = order_rng.permutation(n)
+            losses = []
+            for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
+                take = perm[start : start + cfg.batch_size]
+                probs, _, _, cache = forward_batch(
+                    params, cfg, train_ds.message_ids[take], train_ds.file_ids[take],
+                    train_ds.x_cat[take], train_ds.x_cont[take],
+                    strategy=strategies, training=True, rng=drop_rngs)
+                labels = train_ds.labels[take]
+                steps = [nn.cross_entropy_batch(p, labels, class_weights) for p in probs]
+                for s, (loss, _) in zip(strategies, steps):
+                    if not np.isfinite(loss):
+                        raise TrainingError(f"non-finite loss at epoch {epoch} batch {b_idx}"
+                                            + ("" if isinstance(strategy, str) else f" ({s})"))
+                grads = backward_batch(params, cache, [d_logits for _, d_logits in steps])
+                nn.adam_step(adam, params, grads)
+                losses.append([loss for loss, _ in steps])
+                # this step's arrays go before the next step's are made
+                del probs, cache, steps, grads
+            val_scores = score_dataset(params, cfg, val_ds, strategies)
+            for m, log in enumerate(logs):
+                report = prf1(val_scores[:, m], val_ds.labels)
+                entry = TrainLogEntry(epoch=epoch, train_loss=float(np.mean([s[m] for s in losses])),
+                                      val_auc_roc=report.auc_roc, val_auc_pr=report.auc_pr,
+                                      val_f1=report.f1)
+                log.append(entry)
+                if entry.metric_mean > best_mean[m]:
+                    best_mean[m] = entry.metric_mean
+                    best_params[m] = None  # the old snapshot goes before the new one is made
+                    best_params[m] = model_params(params, count, m)
     trained = list(zip(best_params, logs))
     return trained[0] if isinstance(strategy, str) else trained
 

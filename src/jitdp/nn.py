@@ -13,9 +13,14 @@ leading batch axis.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import math
 import operator
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -33,6 +38,114 @@ def glorot_uniform(rng, shape) -> np.ndarray:
 
 def relu(x):
     return np.maximum(x, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Thread region: OpenBLAS held to one thread, and the independent parts of
+# two loops (the packed pool's chunks and adam_step's blocks) spread over
+# Python threads, each started per call and joined before it returns, so
+# that no thread outlives the loop (a fork never inherits one).
+# ---------------------------------------------------------------------------
+
+_region_threads = None  # the thread count of the innermost region; None outside one
+
+
+@functools.cache
+def _openblas():
+    """(get, set) for the thread count of the OpenBLAS this process has
+    loaded, found by its symbols among the libraries mapped into the
+    process; None where no OpenBLAS is loaded."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            libs = sorted({ln.split()[-1] for ln in handle if "openblas" in ln and ".so" in ln})
+    except OSError:
+        return None
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
+
+
+@contextmanager
+def threads(n: int | None = None):
+    """A thread region: within the block this process's OpenBLAS is held to
+    one thread, and the chunks of _pool's packed path and the blocks of
+    adam_step run on n threads, this one and n - 1 started per call. n is
+    one per usable CPU, at most two, when None; an outer region caps an
+    inner one's n. Each part runs the operations of the one-thread loop in
+    their order, so no bit depends on n. Both counts are restored after,
+    also when the block raises; where no OpenBLAS is loaded, it is not held.
+
+    A second BLAS thread busy-waits between GEMMs, and beside a busy worker
+    it contends for the worker's core: on 2 CPUs next to a busy process,
+    deep scoring of 16,000 commits took 1.14 s with two BLAS threads, 0.49
+    s with one (0.44 and 0.45 s with the other CPU idle)."""
+    global _region_threads
+    if n is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        n = min(2, cpus or 1)
+    before, blas = _region_threads, _openblas()
+    _region_threads = n if before is None else min(n, before)
+    if blas is not None:
+        held = blas[0]()
+        blas[1](1)
+    try:
+        yield
+    finally:
+        if blas is not None:
+            blas[1](held)
+        _region_threads = before
+
+
+def _thread_count(parts: int) -> int:
+    """The threads that _spread runs `parts` parts on."""
+    return max(1, min(parts, _region_threads or 1))
+
+
+def _spread(run, parts) -> None:
+    """run(slot, part) for every part, on _thread_count(len(parts)) threads,
+    slot being the thread's index: each takes the next part in turn. The
+    first exception of any thread stops the others taking more parts and
+    is raised here, after every thread started here is joined."""
+    count = _thread_count(len(parts))
+    if count == 1:
+        for part in parts:
+            run(0, part)
+        return
+    todo, lock, errors = iter(parts), threading.Lock(), []
+
+    def take(slot):
+        try:
+            while not errors:
+                with lock:
+                    part = next(todo, None)
+                if part is None:
+                    return
+                run(slot, part)
+        except BaseException as exc:  # raised in the calling thread
+            errors.append(exc)
+
+    others = []
+    try:
+        for slot in range(1, count):
+            thread = threading.Thread(target=take, args=(slot,))
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to spare: those started take every part
+                break
+            others.append(thread)
+        take(0)
+    finally:
+        for thread in others:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +253,18 @@ def _sum_rows(values: np.ndarray, at: np.ndarray, n_rows: int) -> RowGrad:
 # rows pool alike, so only the first of them is laid out and the rest take
 # its maxima and argmax, as forward_batch does with its file rows. Chunks
 # are as even as the rows allow, since for a GEMM of a few columns OpenBLAS
-# takes another kernel at full-scale widths.
+# takes another kernel at full-scale widths. In a thread region of n
+# threads (threads), a batch of more than one chunk is cut into n times as
+# many, so that the n chunks in flight hold about _TEXTCNN_BLOCK tap
+# elements in all; the threads take them in turn, each writing only its
+# rows' columns of the maxima and argmax. A row's columns go through the
+# same operations in any chunk, and at full scale a chunk keeps hundreds of
+# columns, so the bits do not depend on n.
 #
 # The maxima come as (B, M, filters), in C order for an id batch of more
-# than _TEXTCNN_BLOCK tap elements and in (M, F, B) memory order otherwise.
-# The heads' reductions sum in that order, so a score's bits follow it.
+# than _TEXTCNN_BLOCK tap elements and in (M, F, B) memory order otherwise,
+# whatever the thread count. The heads' reductions sum in that order, so a
+# score's bits follow it.
 # ---------------------------------------------------------------------------
 
 # Tap-matrix elements (filter taps x token positions, all models) of one
@@ -252,12 +372,17 @@ def _pool(taps_w, banks, x, table=None, argmax=False):
     chunks = -(-total // cap)
     rows = (0, len(kept))
     if chunks > 1:
+        # one chunk of cap / n positions per thread in flight
+        chunks *= _thread_count(chunks)
         cuts = np.searchsorted(ends, np.arange(1, chunks) * total // chunks, "right")
         rows = np.unique(np.concatenate([[0], cuts, [len(kept)]]))
     out = np.empty((models, sum(w.shape[0] for _, w, _ in banks), len(kept)))
     if argmax:
         args = [np.empty((models, w.shape[0], len(kept)), dtype=np.intp) for _, w, _ in banks]
-    for first, last in zip(rows[:-1], rows[1:]):
+
+    def pool_chunk(_, span):
+        # rows first to last, which write only their own columns of out and args
+        first, last = span
         lo, hi = starts[first], ends[last - 1]
         # each row's (start, end) of windows, interleaved for one reduceat
         # per bank; the last end is the end of pre, so it is left out
@@ -280,6 +405,8 @@ def _pool(taps_w, banks, x, table=None, argmax=False):
                 at = hits[np.searchsorted(hits, begin)] - begin
                 args[i][:, :, first:last] = at.reshape(maxima[-1].shape)
         np.concatenate(maxima, axis=1, out=out[:, :, first:last])
+
+    _spread(pool_chunk, list(zip(rows[:-1], rows[1:])))
     # C order past one chunk, (M, F, B) otherwise, as the notes say (an
     # index on the last axis would not keep that order)
     maxima = out.take(slot, axis=2).transpose(2, 0, 1)
@@ -519,7 +646,9 @@ class AdamState:
     moment vectors;
     the params dict is rebound to views of p, which `bound` keeps, and `m`
     and `v` map each name to its views of the moments. `work` holds three
-    block-sized rows.
+    block-sized rows per thread that has run a block: in a thread region
+    (threads), the threads take the blocks in turn, each through its own
+    rows.
     """
 
     lr: float = 1e-3
@@ -533,7 +662,7 @@ class AdamState:
     shapes: list = field(default_factory=list, repr=False)
     bound: tuple = field(default=(), repr=False)
     groups: list = field(default_factory=list, repr=False)
-    work: np.ndarray | None = field(default=None, repr=False)
+    work: list = field(default_factory=list, repr=False)
 
 
 def _views(flat: np.ndarray, names, shapes) -> dict:
@@ -559,7 +688,8 @@ def adam_step(state: AdamState, params: Params, grads: Params) -> None:
     m += (1 - beta1) * (g - m); v += (1 - beta2) * (g * g - v);
     p -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps),
     in that operation order, over each group's flat vectors in blocks of
-    _ADAM_BLOCK floats through the work rows.
+    _ADAM_BLOCK floats through the work rows, on the threads of the thread
+    region (threads), which each element's bits do not depend on.
 
     Every parameter with a gradient, an array or a RowGrad, is updated in
     every row; later steps must pass gradients for the same names and
@@ -596,21 +726,22 @@ def adam_step(state: AdamState, params: Params, grads: Params) -> None:
                 packing[-1] = (packing[-1][0] + [name], packing[-1][1] + size)
             else:
                 packing.append(([name], size))
-        work = np.empty((3, min(_ADAM_BLOCK, sum(size for _, size in packing))))
+        work = [np.empty((3, min(_ADAM_BLOCK, sum(size for _, size in packing))))]
 
-    def gradient(group, size):
-        # the group's flat gradient; None for a lone RowGrad, written block by block
+    def gradient(group, size, out):
+        # the group's flat gradient, in out for several names; None for a
+        # lone RowGrad, written block by block
         if len(group) == 1:
             return None if group[0] in rowed else grads[group[0]].reshape(-1)
         out = np.concatenate([np.zeros(params[n].shape) if n in rowed else grads[n] for n in group],
-                             axis=None, out=work[2, :size])
+                             axis=None, out=out[:size])
         for n in set(rowed).intersection(group):  # zeros so far; its rows go in
             at, (rows, sums) = sum(params[k].size for k in group[: group.index(n)]), grads[n]
             out[at : at + params[n].size].reshape(-1, sums.shape[1])[rows] = sums
         return out
 
     for group, size in packing:
-        checked = gradient(group, size)
+        checked = gradient(group, size, work[0][2])
         if not np.isfinite(grads[group[0]].sums if checked is None else checked).all():
             bad = next(n for n in group if not np.isfinite(getattr(grads[n], "sums", grads[n])).all())
             raise FloatingPointError(f"non-finite gradient for '{bad}'")
@@ -628,31 +759,42 @@ def adam_step(state: AdamState, params: Params, grads: Params) -> None:
         state.names, state.shapes, state.work = names, shapes, work
         state.bound = tuple(map(params.__getitem__, names))
     state.t += 1
-    for group, p_all, m_all, v_all in state.groups:
-        # a lone group's gradient is still the one just checked
-        g_all = checked if len(state.groups) == 1 else gradient(group, len(p_all))
-        width = 1 if g_all is not None else grads[group[0]].sums.shape[1]
+    blocks = []
+    for entry in state.groups:
+        group, p_all = entry[:2]
+        lone_rows = len(group) == 1 and group[0] in rowed
+        width = grads[group[0]].sums.shape[1] if lone_rows else 1
         span = _ADAM_BLOCK // width * width
-        for lo in range(0, len(p_all), span):
-            hi = lo + span
-            p, m, v = p_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
-            g = (g_all[lo:hi] if g_all is not None
-                 else _write_rows(work[2, : len(p)], grads[group[0]], lo // width))
-            step, denom = work[0, : len(g)], work[1, : len(g)]
-            np.subtract(g, m, out=step)
-            step *= 1 - state.beta1
-            m += step
-            np.multiply(g, g, out=step)
-            step -= v
-            step *= 1 - state.beta2
-            v += step
-            np.divide(m, 1 - state.beta1**state.t, out=step)
-            np.divide(v, 1 - state.beta2**state.t, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += state.eps
-            step *= state.lr
-            step /= denom
-            p -= step
+        blocks += [(entry, lo, lo + span, width) for lo in range(0, len(p_all), span)]
+    while len(work) < _thread_count(len(blocks)):
+        work.append(np.empty_like(work[0]))
+
+    def update(slot, block):
+        (group, p_all, m_all, v_all), lo, hi, width = block
+        rows = work[slot]
+        # a lone group's gradient is still the one just checked: a lone group
+        # of several names is one block, which runs in slot 0
+        g_all = checked if len(state.groups) == 1 else gradient(group, len(p_all), rows[2])
+        p, m, v = p_all[lo:hi], m_all[lo:hi], v_all[lo:hi]
+        g = (g_all[lo:hi] if g_all is not None
+             else _write_rows(rows[2, : len(p)], grads[group[0]], lo // width))
+        step, denom = rows[0, : len(g)], rows[1, : len(g)]
+        np.subtract(g, m, out=step)
+        step *= 1 - state.beta1
+        m += step
+        np.multiply(g, g, out=step)
+        step -= v
+        step *= 1 - state.beta2
+        v += step
+        np.divide(m, 1 - state.beta1**state.t, out=step)
+        np.divide(v, 1 - state.beta2**state.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step *= state.lr
+        step /= denom
+        p -= step
+
+    _spread(update, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@ cannot write included, is one PipelineError naming the stage. Re-running a
 config on the same corpus bytes writes the same artifacts, worker or not
 and wherever the corpus file lies (config_hash covers its sha256, not its
 path); only config.json records the paths. At full-scale widths they
-depend on BLAS threads and stack layout (train_deep).
+depend on the stack layout (train_deep), not on BLAS threads: training
+holds one BLAS thread on every path (nn.threads).
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import mmap
@@ -79,7 +79,7 @@ from .features import (  # noqa: F401
     split_and_normalize,
     write_feature_table,
 )
-from .nn import load_params, save_params
+from .nn import load_params, save_params, threads
 from .simple_model import (
     ForestConfig,
     forest_predict_many,
@@ -446,7 +446,7 @@ def _train(ordered, x_all, train, datasets, vocab_size, config, out) -> tuple:
                             ForestConfig(n_trees=config.forest_trees), seed=config.seed)
 
     def deep(part):
-        with _one_blas_thread():
+        with threads(1):
             return train_deep(train_ds, val_ds, vocab_size, config.deep_config(), seed=config.seed,
                               strategy=part)
 
@@ -824,7 +824,7 @@ def _score_encoded_ahead(bundle: LoadedBundle, chunks) -> dict:
         ready[1].close()
         free[0].close()
         try:
-            with _one_blas_thread():
+            with threads(1):
                 return _score_chunks(bundle, chunks, encoded())
         except (EOFError, BrokenPipeError):
             return None  # the worker is gone; _beside raises what it raised
@@ -849,48 +849,6 @@ def _shared_zeros(shape, dtype) -> np.ndarray:
     what a forked child writes into it shows here."""
     count = int(np.prod(shape))
     return np.frombuffer(mmap.mmap(-1, np.dtype(dtype).itemsize * count), dtype, count).reshape(shape)
-
-
-def _openblas():
-    """(get, set) for the thread count of the OpenBLAS this process has
-    loaded, found by its symbols among the libraries mapped into the
-    process; None where no OpenBLAS is loaded."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as handle:
-            libs = sorted({ln.split()[-1] for ln in handle if "openblas" in ln and ".so" in ln})
-    except OSError:
-        return None
-    for lib in libs:
-        handle = ctypes.CDLL(lib)
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = (), ctypes.c_int
-                set_.argtypes, set_.restype = (ctypes.c_int,), None
-                return get, set_
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold this process's OpenBLAS to one thread within the block, and
-    restore its thread count after; nothing where no OpenBLAS is loaded.
-    Beside a busy worker, a second BLAS thread contends for the worker's
-    core: on 2 CPUs next to a busy process, deep scoring of 16,000 commits
-    took 1.14 s with two threads, 0.49 s with one (0.44 and 0.45 s with
-    the other CPU idle)."""
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
 
 
 PREDICTIONS_HEADER = "commit_id,fused_score,class,sim_score,com_score,early_score"
@@ -920,9 +878,14 @@ def read_feature_table(path) -> tuple:
         if handle.readline().rstrip("\n") != TABLE_HEADER:
             raise DataError(f"{path} is not a feature table: its header must be {TABLE_HEADER}")
         ids, rows, labels = [], [], []
-        for line in handle:
+        for line_no, line in enumerate(handle, 2):
             parts = line.rstrip("\n").split(",")
+            if len(parts) != label + 1:
+                raise DataError(f"{path} line {line_no}: {len(parts)} fields, not {label + 1}")
+            try:
+                rows.append([float(v) for v in parts[1:label]])
+                labels.append(None if parts[label] == "" else int(parts[label]))
+            except ValueError as exc:
+                raise DataError(f"{path} line {line_no}: {exc}") from exc
             ids.append(parts[0])
-            rows.append([float(v) for v in parts[1:label]])
-            labels.append(None if parts[label] == "" else int(parts[label]))
     return ids, np.array(rows), labels

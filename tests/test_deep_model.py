@@ -219,6 +219,36 @@ class TestTrainDeep:
         with pytest.raises(TrainingError, match="validation split must contain both classes"):
             train_deep(train, one_class, len(vocab), DESK_CONFIG, seed=0)
 
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_trains_on_one_blas_thread_and_restores_the_count(self, raises, monkeypatch):
+        """train_deep holds OpenBLAS to one thread and leaves its count as it
+        found it, also when it raises (here two threads, set for the test)."""
+        blas = nn._openblas()
+        if blas is None:
+            pytest.skip("no OpenBLAS loaded")
+        train, val, _, vocab = _datasets(SyntheticSpec(size=150, seed=3))
+        real, held = nn.adam_step, []
+
+        def adam_step(*args):
+            held.append(blas[0]())
+            if raises:
+                raise FloatingPointError("planted")
+            real(*args)
+
+        monkeypatch.setattr(nn, "adam_step", adam_step)
+        before = blas[0]()
+        blas[1](2)
+        try:
+            if raises:
+                with pytest.raises(FloatingPointError, match="planted"):
+                    train_deep(train, val, len(vocab), dataclasses.replace(DESK_CONFIG, epochs=1))
+            else:
+                train_deep(train, val, len(vocab), dataclasses.replace(DESK_CONFIG, epochs=1))
+            assert blas[0]() == 2
+        finally:
+            blas[1](before)
+        assert held and set(held) == {1}
+
     def test_class_weight_doubles_defective_loss_terms(self):
         rng = np.random.default_rng(9)
         probs = rng.dirichlet((1, 1), size=8)

@@ -368,6 +368,29 @@ class TestFeatureTable:
         with pytest.raises(DataError, match=rf"^{re.escape(str(path))} is not a feature table"):
             read_feature_table(path)
 
+    VALUES = ",".join(["1"] * len(FEATURE_NAMES))
+
+    def _table(self, tmp_path, *rows):
+        path = tmp_path / "features.csv"
+        path.write_text("\n".join([TABLE_HEADER, f"c0,{self.VALUES},1", *rows]) + "\n")
+        return path
+
+    def test_short_row_rejected(self, tmp_path):
+        path = self._table(tmp_path, "c1,1,2")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))} line 3: 3 fields, not "
+                                            rf"{len(FEATURE_NAMES) + 2}$"):
+            read_feature_table(path)
+
+    def test_label_that_is_no_integer_rejected(self, tmp_path):
+        path = self._table(tmp_path, f"c1,{self.VALUES},", f"c2,{self.VALUES},x")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))} line 4: .*'x'"):
+            read_feature_table(path)
+
+    def test_value_that_is_no_number_rejected(self, tmp_path):
+        path = self._table(tmp_path, f"c1,abc{self.VALUES[1:]},0")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))} line 3: .*'abc'"):
+            read_feature_table(path)
+
 
 # ---------------------------------------------------------------------------
 # Reference: extract_features as it stood before the history index kept

@@ -4,6 +4,8 @@ checkpoint container round-trip."""
 
 import copy
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -1030,3 +1032,145 @@ class TestTextCnnEntryOrder:
             _check_against_entry_order(params, ids, table, d_z)
         else:
             _check_against_entry_order(params, table[ids], None, d_z)
+
+
+# Token rows for the thread-region pool tests: 300 rows of 32 ids, at real
+# lengths from 0 to 32, so that kept prefixes are whole 8-column tiles.
+_REGION_ROWS = 300
+
+
+def _region_pool_case(models):
+    """(layout, table, ids): M grouped textCNNs at d_in 64 with 127 taps
+    (64 filters over windows 1, 2 and 3), their table and the pool's rows."""
+    rng = np.random.default_rng([models, 7])
+    parts = [nn.textcnn_init(rng, "t", 64, (1, 2, 3), 64) for _ in range(models)]
+    params = {n: np.concatenate([p[n] for p in parts], axis=-1) for n in parts[0]}
+    for k in (1, 2, 3):
+        params[f"t.b{k}"] = rng.normal(scale=0.1, size=params[f"t.b{k}"].shape)
+    layout = nn.textcnn_layout(params, "t")
+    table = rng.normal(size=(400, 64 * models))
+    ids = rng.integers(1, 400, size=(_REGION_ROWS, 32))
+    ids[np.arange(32) >= rng.integers(0, 33, size=(_REGION_ROWS, 1))] = 0
+    return layout, table, ids
+
+
+class TestThreadRegion:
+    """nn.threads(2) runs the packed pool's chunks and adam_step's blocks on
+    two threads, with the bits of nn.threads(1), where every loop runs on
+    this thread; both hold OpenBLAS to one thread."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(models=st.sampled_from([1, 2]), argmax=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           rows=st.integers(1, _REGION_ROWS))
+    def test_paired_pool_keeps_the_one_thread_bits(self, models, argmax, seed, rows):
+        layout, table, ids = _region_pool_case(models)
+        pick = np.random.default_rng(seed).choice(_REGION_ROWS, rows, replace=False)
+        batch = ids[pick]
+        # 128 positions a chunk on one thread, 64 on each of two: chunks of
+        # 32 or more columns, past where OpenBLAS takes another kernel
+        block = 128 * models * layout.taps_w.shape[1]
+        passes, embedded = [], []
+        real = nn.embedding_forward
+        with mock.patch.object(nn, "_TEXTCNN_BLOCK", block), \
+                mock.patch.object(nn, "embedding_forward",
+                                  lambda t, part: embedded.append(len(part)) or real(t, part)):
+            for n in (1, 2):
+                embedded.clear()
+                with nn.threads(n):
+                    passes.append((nn._pool(layout.taps_w, layout.banks, batch, table, argmax),
+                                   len(embedded)))
+        ((one, one_args), one_chunks), ((two, two_args), two_chunks) = passes
+        assert two_chunks == (one_chunks if one_chunks == 1 else 2 * one_chunks)
+        _assert_same_bits(two, one)
+        assert one.flags.c_contiguous == two.flags.c_contiguous
+        if argmax:
+            for got, want in zip(two_args, one_args):
+                _assert_same_bits(got, want)
+        else:
+            assert one_args is None and two_args is None
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), block=st.sampled_from([64, 96, 256]),
+           steps=st.integers(1, 4))
+    def test_paired_adam_keeps_the_one_thread_bits(self, seed, block, steps):
+        # "table" takes row gradients and "big" dense ones, each over several
+        # blocks; "b", "w" and "c" pack into groups of several names
+        shapes = {"table": (40, 8), "b": (7,), "w": (3, 5), "big": (300,), "c": (50,)}
+        rng = np.random.default_rng(seed)
+        start = {n: rng.normal(size=s) for n, s in shapes.items()}
+        runs = []
+        with mock.patch.object(nn, "_ADAM_BLOCK", block):
+            for n in (1, 2):
+                params, state = {k: v.copy() for k, v in start.items()}, nn.AdamState(lr=0.01)
+                grad_rng = np.random.default_rng([seed, 1])
+                with nn.threads(n):
+                    for _ in range(steps):
+                        grads = {k: grad_rng.normal(size=s) for k, s in shapes.items()}
+                        grads["table"] = _row_grad(grad_rng, 40, 8, int(grad_rng.integers(0, 41)))
+                        nn.adam_step(state, params, grads)
+                runs.append((params, state))
+        (one, one_state), (two, two_state) = runs
+        assert len(one_state.groups) > 2
+        for n in shapes:
+            for got, want in ((two[n], one[n]), (two_state.m[n], one_state.m[n]),
+                              (two_state.v[n], one_state.v[n])):
+                _assert_same_bits(got, want)
+
+    def test_an_error_on_the_second_thread_is_raised_here(self):
+        layout, table, ids = _region_pool_case(1)
+        with nn.threads(1), pytest.raises(ValueError) as alone:
+            nn._pool(layout.taps_w, layout.banks, np.where(ids == ids.max(), 400, ids), table, True)
+        # the second thread's chunks hold an id past the table, once this
+        # thread has seen that thread take one
+        real, other = nn.embedding_forward, threading.Event()
+
+        def embedding_forward(t, part):
+            if threading.current_thread() is threading.main_thread():
+                other.wait(timeout=10)
+                return real(t, part)
+            other.set()
+            return real(t, np.where(part == part.max(), 400, part))
+
+        before = threading.active_count()
+        with mock.patch.object(nn, "embedding_forward", embedding_forward), nn.threads(2), \
+                pytest.raises(ValueError) as paired:
+            nn._pool(layout.taps_w, layout.banks, ids, table, True)
+        assert other.is_set()
+        assert str(paired.value) == str(alone.value) == "token id out of range [0, 400)"
+        assert threading.active_count() == before
+
+    def test_an_outer_region_caps_an_inner_one_and_counts_are_restored(self):
+        blas = nn._openblas()
+        counts = (lambda: (nn._region_threads, blas and blas[0]()))
+        outside = counts()
+        with nn.threads(1):
+            with nn.threads(2):
+                assert nn._thread_count(10) == 1
+                assert counts()[1] in (None, 1)
+            with nn.threads():
+                assert nn._thread_count(10) == 1
+        with nn.threads(2):
+            assert nn._thread_count(10) == 2 and nn._thread_count(1) == 1
+        with pytest.raises(KeyError), nn.threads(2):
+            raise KeyError("in the block")
+        assert counts() == outside
+        assert nn._thread_count(10) == 1
+
+    def test_every_part_runs_once_on_more_threads_than_cores(self):
+        # eight threads switching every microsecond: a part taken twice, or
+        # lost, would leave another list of parts run
+        taken, slots = [], set()
+
+        def run(slot, part):
+            slots.add(slot)
+            taken.append(part)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with nn.threads(8):
+                nn._spread(run, list(range(5000)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == list(range(5000))
+        assert slots <= set(range(8))

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from jitdp import deep_model, fusion, pipeline
+from jitdp import deep_model, fusion, nn, pipeline
 from jitdp.cli import main
 from jitdp.corpus import (DataError, SyntheticSpec, save_commit_stream, sort_chronologically,
                           synthesize_corpus)
@@ -91,7 +91,7 @@ def _one_pass(bundle, commits) -> list:
 
 def _blas_threads():
     """The OpenBLAS thread count of this process, or None without OpenBLAS."""
-    blas = pipeline._openblas()
+    blas = nn._openblas()
     return None if blas is None else blas[0]()
 
 
